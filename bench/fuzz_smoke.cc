@@ -18,7 +18,8 @@
  *     --no-minimize     keep findings unreduced
  *     --seed-corpus D   regression-corpus seeding: walk the seed chain
  *                       and write the first clean kernel of every bug
- *                       class into D as <class>_<seed>.lirk, then exit
+ *                       class, and of each dot path of the layout class,
+ *                       into D as <class>_<seed>.lirk, then exit
  */
 #include <cstdio>
 #include <cstring>
@@ -28,43 +29,68 @@
 #include "compiler/compiler.h"
 #include "fuzz/fuzz.h"
 #include "fuzz/generator.h"
+#include "opt/lir_rewrite.h"
 #include "support/error.h"
 
 using namespace tilus;
 
 namespace {
 
+/** Corpus slot of a clean kernel: its bug class, with the layout class
+    split by dot path (none, tensor-core mma, SIMT). */
+std::string
+corpusSlot(const char *bug_class, const lir::Kernel &kernel)
+{
+    std::string slot = bug_class;
+    if (slot != "layout")
+        return slot;
+    opt::forEachOp(kernel.body, [&](const lir::LOp &op) {
+        if (std::holds_alternative<lir::MmaTile>(op))
+            slot = "layout/mma";
+        else if (std::holds_alternative<lir::SimtDot>(op))
+            slot = "layout/simt";
+    });
+    return slot;
+}
+
 int
 seedCorpus(const std::string &dir, const fuzz::FuzzConfig &config)
 {
-    const char *classes[] = {"layout", "masking", "sync", "dtype",
-                             "control"};
+    const char *slots[] = {"layout", "layout/mma", "layout/simt", "masking",
+                           "sync",   "dtype",      "control"};
     std::map<std::string, bool> missing;
-    for (const char *c : classes)
-        missing[c] = true;
+    for (const char *s : slots)
+        missing[s] = true;
     uint64_t chain = config.seed;
     for (int i = 0; i < 4000 && !missing.empty(); ++i) {
         const uint64_t seed = chain;
         chain = fuzz::nextSeed(chain);
         fuzz::Generated gen = fuzz::generateProgram(seed);
-        if (gen.expect_invalid || missing.find(gen.bug_class) == missing.end())
-            continue;
-        if (fuzz::runHarness(gen.program, config.harness).verdict !=
-            fuzz::Verdict::kPass)
+        if (gen.expect_invalid)
             continue;
         compiler::CompileOptions o0;
         o0.opt_level = compiler::OptLevel::O0;
+        lir::Kernel kernel;
+        try {
+            kernel = compiler::compile(gen.program, o0);
+        } catch (const FatalError &) {
+            continue; // compile-reject: nothing to seed
+        }
+        const std::string slot = corpusSlot(gen.bug_class, kernel);
+        if (missing.find(slot) == missing.end() ||
+            fuzz::runHarness(gen.program, config.harness).verdict !=
+                fuzz::Verdict::kPass)
+            continue;
         char path[512];
         std::snprintf(path, sizeof(path), "%s/%s_%llx.lirk", dir.c_str(),
                       gen.bug_class,
                       static_cast<unsigned long long>(seed));
-        if (!fuzz::writeCorpusKernel(path,
-                                     compiler::compile(gen.program, o0))) {
+        if (!fuzz::writeCorpusKernel(path, kernel)) {
             std::fprintf(stderr, "cannot write %s\n", path);
             return 1;
         }
-        std::printf("corpus: %s\n", path);
-        missing.erase(gen.bug_class);
+        std::printf("corpus: %s (%s)\n", path, slot.c_str());
+        missing.erase(slot);
     }
     if (!missing.empty()) {
         std::fprintf(stderr, "could not cover every bug class\n");

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "lang/script.h"
+#include "layout/atoms.h"
 #include "support/rng.h"
 
 namespace tilus {
@@ -173,12 +174,90 @@ maybeView(Gen &g, const ir::RegTensor &t)
 }
 
 /**
+ * The dot arm of the layout class. Tensor-core operands are built the
+ * way kernels/matmul.cc builds them: an m16n8k16 or m16n8k8 atom under a
+ * warp grid, with A replicated over the warp columns and B over the warp
+ * rows. SIMT operands follow the small-batch path: A replicated over
+ * every thread, B and the accumulator thread-local in k. One program in
+ * four draws an operand variant that no schedule may fit (a
+ * compile-reject, not a failure). Operands are loaded as u8 and cast, so
+ * every product and partial sum is exact in f32 and both engines must
+ * agree bit for bit.
+ */
+void
+emitDotPattern(Gen &g)
+{
+    const int warps = static_cast<int>(g.threads / 32);
+    const bool mma = g.rng.nextBelow(2) == 0;
+    const bool bad = g.rng.nextBelow(4) == 0;
+    DataType operand = float16();
+    Layout la, lb, lc;
+    if (mma) {
+        int64_t wm = 1;
+        while (wm < warps && g.rng.nextBelow(2) == 0)
+            wm *= 2;
+        const int64_t wn = warps / wm;
+        const int64_t rm = g.rng.nextRange(1, 2), rn = g.rng.nextRange(1, 2);
+        const int64_t rk = g.rng.nextRange(1, 2);
+        const bool k16 = g.rng.nextBelow(2) == 0;
+        auto tiles = [&](int64_t r0, int64_t r1) {
+            return g.rng.nextBelow(2) ? local(r0, r1) : columnLocal(r0, r1);
+        };
+        lc = spatial(wm, wn) * tiles(rm, rn) * atoms::mmaM16N8K16C();
+        // The bad variant ravels A's replica above its warp rows, so warp
+        // w of A is not warp w of C when both warp dims exceed one.
+        Layout warps_a = bad ? replicaSpatial(2, wn) * spatial(wm, 1)
+                             : spatial(wm, 1) * replicaSpatial(2, wn);
+        la = warps_a * tiles(rm, rk) *
+             (k16 ? atoms::mmaM16N8K16A() : atoms::mmaM16N8K8A());
+        lb = replicaSpatial(2, wm) * spatial(1, wn) * tiles(rk, rn) *
+             (k16 ? atoms::mmaM16N8K16B() : atoms::mmaM16N8K8B());
+    } else {
+        const int64_t bm = int64_t(1) << g.rng.nextBelow(3);
+        const int64_t rn = g.rng.nextRange(1, 2);
+        const int64_t bk = int64_t(2) << g.rng.nextBelow(3);
+        if (g.rng.nextBelow(2) == 0)
+            operand = float32();
+        lc = local(bm, 1) * spatial(1, g.threads) * local(1, rn);
+        la = local(bm, 1) * replicaSpatial(2, g.threads) * local(1, bk);
+        // The bad variant deals B's columns round-robin over the threads,
+        // where the accumulator gives each thread a contiguous run.
+        lb = bad ? local(bk, rn) * spatial(1, g.threads)
+                 : spatial(1, g.threads) * local(bk, rn);
+    }
+    const int64_t m = lc.shape()[0], n = lc.shape()[1], k = la.shape()[1];
+
+    ir::Expr row0 = ir::Expr(g.bidx[0]) * m;
+    auto load = [&](const ir::Var &p, const Layout &layout, int64_t rows,
+                    int64_t cols, ir::Expr r0) {
+        auto view = g.script.viewGlobal(
+            p, uint8(), {ir::constInt(rows), ir::constInt(cols)});
+        return g.script.cast(g.script.loadGlobal(view, layout,
+                                                 {std::move(r0),
+                                                  ir::constInt(0)}),
+                             operand);
+    };
+    ir::RegTensor a = load(g.p0, la, g.grid_x * m, k, row0);
+    ir::RegTensor b = load(g.p1, lb, k, n, ir::constInt(0));
+    ir::RegTensor acc = g.script.allocateRegister(float32(), lc, 0.0);
+    g.script.dot(a, b, acc);
+    auto gout = g.script.viewGlobal(
+        g.p2, float32(), {ir::constInt(g.grid_x * m), ir::constInt(n)});
+    g.script.storeGlobal(acc, gout, {row0, ir::constInt(0)});
+}
+
+/**
  * Bug class "layout/indexing": load tiles under exotic layouts, View
- * reinterpretation, replica-broadcast operands, block-staggered stores.
+ * reinterpretation, replica-broadcast operands, block-staggered stores,
+ * and (one program in four) the tensor-core and SIMT dot schedules.
  */
 void
 emitLayoutPattern(Gen &g)
 {
+    if (g.rng.nextBelow(4) == 0) {
+        emitDotPattern(g);
+        return;
+    }
     Factors f = randomFactors(g.rng, g.threads);
     const int variant = static_cast<int>(g.rng.nextBelow(kLayoutVariants));
     Layout layout = makeLayout(f, variant);

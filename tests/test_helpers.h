@@ -163,6 +163,36 @@ runMatmul(runtime::Runtime &rt, const kernels::MatmulConfig &cfg,
     return run;
 }
 
+/** Random unified-representation layout of the given rank. */
+inline Layout
+randomUnified(Rng &rng, int rank)
+{
+    // Build per-dim mode lists with small sizes, then deal the modes to
+    // the spatial/local order lists in random order.
+    std::vector<int64_t> shape(rank, 1);
+    std::vector<int64_t> mode_shape;
+    std::vector<int> mode_dim;
+    for (int d = 0; d < rank; ++d) {
+        int parts = static_cast<int>(rng.nextRange(1, 3));
+        for (int p = 0; p < parts; ++p) {
+            int64_t size = rng.nextRange(1, 4);
+            shape[d] *= size;
+            mode_shape.push_back(size);
+            mode_dim.push_back(d);
+        }
+    }
+    std::vector<int> order(mode_shape.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = static_cast<int>(i);
+    // Fisher-Yates shuffle with our deterministic rng.
+    for (size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[rng.nextBelow(i)]);
+    size_t cut = rng.nextBelow(order.size() + 1);
+    std::vector<int> spatial(order.begin(), order.begin() + cut);
+    std::vector<int> local(order.begin() + cut, order.end());
+    return Layout::make(shape, mode_shape, mode_dim, spatial, local);
+}
+
 /** Max |a-b| over matching entries, scaled by magnitude. */
 inline double
 maxRelativeError(const std::vector<double> &got,
