@@ -54,15 +54,60 @@ andPred(Expr acc, Expr term)
     return makeBinary(BinaryOp::kAnd, std::move(acc), std::move(term));
 }
 
-/** Per-thread logical->slot map for one thread of a layout. */
-std::map<std::vector<int64_t>, int64_t>
-buildSlotMap(const Layout &layout, int64_t thread)
+std::vector<int64_t>
+rowMajorStrides(const std::vector<int64_t> &shape)
 {
-    std::map<std::vector<int64_t>, int64_t> map;
-    for (int64_t i = 0; i < layout.localsPerThread(); ++i)
-        map[layout.logicalIndexOf(thread, i)] = i;
-    return map;
+    std::vector<int64_t> strides(shape.size());
+    int64_t acc = 1;
+    for (size_t d = shape.size(); d-- > 0;) {
+        strides[d] = acc;
+        acc *= shape[d];
+    }
+    return strides;
 }
+
+/**
+ * Where a layout keeps each element of its tile: the closed-form inverse
+ * threadLocalOf, tabulated over row-major element positions, plus every
+ * thread's replica-free form. A thread holds element e iff its
+ * replica-free form is e's holder, and then at e's slot, so a residency
+ * query is two table reads instead of a search of the thread's locals.
+ */
+class Residency
+{
+  public:
+    explicit Residency(const Layout &layout)
+        : key_(layout.replicaFreeThreads()),
+          holder_(layout.numel()),
+          slot_(layout.numel())
+    {
+        const std::vector<int64_t> strides = rowMajorStrides(layout.shape());
+        const std::vector<int64_t> thread_pos = layout.threadOffsets(strides);
+        const std::vector<int64_t> local_pos = layout.localOffsets(strides);
+        for (size_t t = 0; t < key_.size(); ++t) {
+            if (key_[t] != static_cast<int64_t>(t))
+                continue; // a replica holds what its holder holds
+            for (size_t i = 0; i < local_pos.size(); ++i) {
+                holder_[thread_pos[t] + local_pos[i]] = key_[t];
+                slot_[thread_pos[t] + local_pos[i]] = static_cast<int32_t>(i);
+            }
+        }
+    }
+
+    int64_t numThreads() const { return static_cast<int64_t>(key_.size()); }
+
+    /** Slot of element @p pos in @p thread, or -1 if it is not there. */
+    int32_t
+    slotIn(int64_t thread, int64_t pos) const
+    {
+        return holder_[pos] == key_[thread] ? slot_[pos] : -1;
+    }
+
+  private:
+    std::vector<int64_t> key_;
+    std::vector<int64_t> holder_;
+    std::vector<int32_t> slot_;
+};
 
 class Lowering
 {
@@ -334,6 +379,7 @@ class Lowering
                                bool is_shared, int global_id,
                                bool check_bounds);
     void lowerCopyAsync(const CopyAsyncInst &inst);
+    std::vector<int32_t> broadcastSlotMap(const BinaryInst &inst);
     bool tryLowerMmaDot(const DotInst &inst);
     bool tryLowerSimtDot(const DotInst &inst);
 
@@ -457,40 +503,8 @@ Lowering::lowerInst(const Instruction &inst)
         const auto &node = static_cast<const BinaryInst &>(inst);
         declareTensor(node.out);
         std::vector<int32_t> slot_map;
-        if (!(node.b->layout.equivalent(node.a->layout))) {
-            // Broadcast: each a-slot's index, projected onto b's unit
-            // dims, must be resident in the same thread for every thread.
-            const Layout &la = node.a->layout;
-            const Layout &lb = node.b->layout;
-            int64_t locals = la.localsPerThread();
-            slot_map.resize(locals);
-            for (int64_t t = 0; t < la.numThreads(); ++t) {
-                auto bmap = buildSlotMap(lb, t);
-                for (int64_t i = 0; i < locals; ++i) {
-                    auto idx = la.logicalIndexOf(t, i);
-                    for (size_t d = 0; d < idx.size(); ++d)
-                        if (lb.shape()[d] == 1)
-                            idx[d] = 0;
-                    auto it = bmap.find(idx);
-                    if (it == bmap.end()) {
-                        throw CompileError(
-                            "Binary broadcast: thread " +
-                            std::to_string(t) +
-                            " does not hold the required element of '" +
-                            node.b->name + "'");
-                    }
-                    if (t == 0) {
-                        slot_map[i] = static_cast<int32_t>(it->second);
-                    } else if (slot_map[i] !=
-                               static_cast<int32_t>(it->second)) {
-                        throw CompileError(
-                            "Binary broadcast: slot mapping is not "
-                            "thread-uniform for '" +
-                            node.b->name + "'");
-                    }
-                }
-            }
-        }
+        if (!(node.b->layout.equivalent(node.a->layout)))
+            slot_map = broadcastSlotMap(node);
         emit(lir::EltwiseBinary{node.out->id, node.a->id, node.b->id,
                                 static_cast<int>(node.op),
                                 std::move(slot_map)});
@@ -764,6 +778,45 @@ Lowering::lowerCopyAsync(const CopyAsyncInst &inst)
     }
 }
 
+std::vector<int32_t>
+Lowering::broadcastSlotMap(const BinaryInst &inst)
+{
+    // Each a-slot's index, projected onto b's unit dims, must be resident
+    // in b in the same thread and at the same b-slot for every thread.
+    // The projection is linear: a's offset tables under b's row-major
+    // strides, with the unit dims' strides zeroed, give b positions.
+    const Layout &la = inst.a->layout;
+    const Layout &lb = inst.b->layout;
+    std::vector<int64_t> strides = rowMajorStrides(lb.shape());
+    for (int d = 0; d < lb.rank(); ++d)
+        if (lb.shape()[d] == 1)
+            strides[d] = 0;
+    const std::vector<int64_t> a_thread = la.threadOffsets(strides);
+    const std::vector<int64_t> a_local = la.localOffsets(strides);
+    const Residency b(lb);
+    TILUS_CHECK(b.numThreads() == la.numThreads());
+    std::vector<int32_t> slot_map(a_local.size());
+    for (size_t t = 0; t < a_thread.size(); ++t) {
+        for (size_t i = 0; i < a_local.size(); ++i) {
+            const int32_t slot = b.slotIn(t, a_thread[t] + a_local[i]);
+            if (slot < 0) {
+                throw CompileError("Binary broadcast: thread " +
+                                   std::to_string(t) +
+                                   " does not hold the required element of '" +
+                                   inst.b->name + "'");
+            }
+            if (t == 0) {
+                slot_map[i] = slot;
+            } else if (slot_map[i] != slot) {
+                throw CompileError("Binary broadcast: slot mapping is not "
+                                   "thread-uniform for '" +
+                                   inst.b->name + "'");
+            }
+        }
+    }
+    return slot_map;
+}
+
 bool
 Lowering::tryLowerMmaDot(const DotInst &inst)
 {
@@ -797,30 +850,33 @@ Lowering::tryLowerMmaDot(const DotInst &inst)
         // Fragment grid extents.
         const int64_t frags = qc->localsPerThread();
         const int64_t k_tiles = inst.a->shape()[1] / cand.k;
+        const int64_t n_tiles = qb->shape()[1];
 
         // Check warp-invariant slot mapping and collect bases from warp 0.
-        std::vector<std::vector<int64_t>> a_slot(
-            frags, std::vector<int64_t>(k_tiles, -1));
-        std::vector<std::vector<int64_t>> b_slot(
-            frags, std::vector<int64_t>(k_tiles, -1));
+        // Fragment (m, n) of C reads fragment (m, kt) of A at position
+        // m * k_tiles + kt and fragment (kt, n) of B at kt * n_tiles + n.
+        const Residency ra(*qa), rb(*qb);
+        const std::vector<int64_t> cm_warp = qc->threadOffsets({k_tiles, 0});
+        const std::vector<int64_t> cm_frag = qc->localOffsets({k_tiles, 0});
+        const std::vector<int64_t> cn_warp = qc->threadOffsets({0, 1});
+        const std::vector<int64_t> cn_frag = qc->localOffsets({0, 1});
+        std::vector<int32_t> a_slot(frags * k_tiles), b_slot(frags * k_tiles);
         bool ok = true;
         for (int w = 0; w < warps && ok; ++w) {
             for (int64_t f = 0; f < frags && ok; ++f) {
-                auto cm = qc->logicalIndexOf(w, f);
-                for (int64_t kt = 0; kt < k_tiles && ok; ++kt) {
-                    auto sa = qa->localSlotIn(w, {cm[0], kt});
-                    auto sb = qb->localSlotIn(w, {kt, cm[1]});
-                    if (!sa || !sb) {
+                const int64_t a_row = cm_warp[w] + cm_frag[f];
+                const int64_t b_col = cn_warp[w] + cn_frag[f];
+                for (int64_t kt = 0; kt < k_tiles; ++kt) {
+                    const int32_t sa = ra.slotIn(w, a_row + kt);
+                    const int32_t sb = rb.slotIn(w, kt * n_tiles + b_col);
+                    const int64_t at = f * k_tiles + kt;
+                    if (sa < 0 || sb < 0 ||
+                        (w > 0 && (a_slot[at] != sa || b_slot[at] != sb))) {
                         ok = false;
                         break;
                     }
-                    if (w == 0) {
-                        a_slot[f][kt] = *sa;
-                        b_slot[f][kt] = *sb;
-                    } else if (a_slot[f][kt] != *sa ||
-                               b_slot[f][kt] != *sb) {
-                        ok = false;
-                    }
+                    a_slot[at] = sa;
+                    b_slot[at] = sb;
                 }
             }
         }
@@ -835,9 +891,9 @@ Lowering::tryLowerMmaDot(const DotInst &inst)
                 int c_id = (kt == 0) ? inst.c->id : inst.out->id;
                 emit(lir::MmaTile{inst.a->id, inst.b->id, c_id,
                                   inst.out->id, cand.m, cand.n, cand.k,
-                                  a_slot[f][kt] * a_locals,
-                                  b_slot[f][kt] * b_locals, f * c_locals,
-                                  f * c_locals});
+                                  a_slot[f * k_tiles + kt] * a_locals,
+                                  b_slot[f * k_tiles + kt] * b_locals,
+                                  f * c_locals, f * c_locals});
             }
         }
         return true;
@@ -848,32 +904,35 @@ Lowering::tryLowerMmaDot(const DotInst &inst)
 bool
 Lowering::tryLowerSimtDot(const DotInst &inst)
 {
-    const Layout &la = inst.a->layout;
-    const Layout &lb = inst.b->layout;
     const Layout &lc = inst.c->layout;
     const int64_t threads = lc.numThreads();
     const int64_t c_locals = lc.localsPerThread();
     const int64_t k_extent = inst.a->shape()[1];
+    const int64_t n_extent = inst.b->shape()[1];
 
     // Every thread must hold all (m, k) and (k, n) operands of its own
     // accumulator elements; the slot program must be thread-uniform.
+    // Accumulator (m, n) reads A at m * K + k and B at k * N + n.
+    const Residency a(inst.a->layout), b(inst.b->layout);
+    TILUS_CHECK(a.numThreads() == threads && b.numThreads() == threads);
+    const std::vector<int64_t> cm_thread = lc.threadOffsets({k_extent, 0});
+    const std::vector<int64_t> cm_local = lc.localOffsets({k_extent, 0});
+    const std::vector<int64_t> cn_thread = lc.threadOffsets({0, 1});
+    const std::vector<int64_t> cn_local = lc.localOffsets({0, 1});
     std::vector<std::array<int32_t, 3>> macs;
     macs.reserve(static_cast<size_t>(c_locals * k_extent));
     for (int64_t t = 0; t < threads; ++t) {
-        auto amap = buildSlotMap(la, t);
-        auto bmap = buildSlotMap(lb, t);
         size_t cursor = 0;
         for (int64_t i = 0; i < c_locals; ++i) {
-            auto cm = lc.logicalIndexOf(t, i);
+            const int64_t a_row = cm_thread[t] + cm_local[i];
+            const int64_t b_col = cn_thread[t] + cn_local[i];
             for (int64_t k = 0; k < k_extent; ++k) {
-                auto ai = amap.find({cm[0], k});
-                auto bi = bmap.find({k, cm[1]});
-                if (ai == amap.end() || bi == bmap.end())
+                const int32_t sa = a.slotIn(t, a_row + k);
+                const int32_t sb = b.slotIn(t, k * n_extent + b_col);
+                if (sa < 0 || sb < 0)
                     return false;
-                std::array<int32_t, 3> mac = {
-                    static_cast<int32_t>(i),
-                    static_cast<int32_t>(ai->second),
-                    static_cast<int32_t>(bi->second)};
+                std::array<int32_t, 3> mac = {static_cast<int32_t>(i), sa,
+                                              sb};
                 if (t == 0) {
                     macs.push_back(mac);
                 } else if (macs[cursor] != mac) {

@@ -22,6 +22,24 @@ primitiveLabel(const char *name, const std::vector<int64_t> &shape)
     return std::string(name) + "(" + join(parts, ", ") + ")";
 }
 
+/** Mixed-radix table over the modes of @p order (most-significant
+    first): entry n is the sum of digit_k(n) * weight[order[k]]. */
+std::vector<int64_t>
+ravelTable(const std::vector<int64_t> &mode_shape,
+           const std::vector<int> &order, const std::vector<int64_t> &weight)
+{
+    std::vector<int64_t> table = {0};
+    for (int m : order) {
+        std::vector<int64_t> next;
+        next.reserve(table.size() * mode_shape[m]);
+        for (int64_t base : table)
+            for (int64_t digit = 0; digit < mode_shape[m]; ++digit)
+                next.push_back(base + digit * weight[m]);
+        table = std::move(next);
+    }
+    return table;
+}
+
 } // namespace
 
 Layout
@@ -149,17 +167,6 @@ Layout::replication() const
     return r;
 }
 
-std::optional<int64_t>
-Layout::localSlotIn(int64_t thread, const std::vector<int64_t> &logical) const
-{
-    const int64_t locals = localsPerThread();
-    for (int64_t i = 0; i < locals; ++i) {
-        if (logicalIndexOf(thread, i) == logical)
-            return i;
-    }
-    return std::nullopt;
-}
-
 int64_t
 Layout::numThreads() const
 {
@@ -191,20 +198,19 @@ Layout::threadLocalOf(const std::vector<int64_t> &index) const
                     "index rank mismatch");
     const int num_modes = static_cast<int>(mode_shape_.size());
     // Step 1 (Figure 6): split each dimension index into its mode indices.
+    // Replica modes carry no position; their digit stays 0, so the
+    // holder reported is the replica-free thread.
     std::vector<int64_t> mode_index(num_modes, 0);
-    int m_end = num_modes;
-    for (int d = rank() - 1; d >= 0; --d) {
-        int m_begin = m_end;
-        while (m_begin > 0 && mode_dim_[m_begin - 1] == d)
-            --m_begin;
-        int64_t linear = index[d];
-        for (int m = m_end - 1; m >= m_begin; --m) {
-            mode_index[m] = linear % mode_shape_[m];
-            linear /= mode_shape_[m];
-        }
-        TILUS_CHECK_MSG(linear == 0, "index out of range in dim " << d);
-        m_end = m_begin;
+    std::vector<int64_t> rest = index;
+    for (int m = num_modes - 1; m >= 0; --m) {
+        const int d = mode_dim_[m];
+        if (d < 0)
+            continue;
+        mode_index[m] = rest[d] % mode_shape_[m];
+        rest[d] /= mode_shape_[m];
     }
+    for (int d = rank() - 1; d >= 0; --d)
+        TILUS_CHECK_MSG(rest[d] == 0, "index out of range in dim " << d);
     // Steps 2+3: distribute mode indices, then ravel each group.
     int64_t thread = 0;
     for (int m : spatial_modes_)
@@ -240,6 +246,51 @@ Layout::logicalIndexOf(int64_t thread, int64_t local) const
                               mode_index[m];
     }
     return index;
+}
+
+std::vector<int64_t>
+Layout::positionWeights(const std::vector<int64_t> &strides) const
+{
+    TILUS_CHECK_MSG(static_cast<int>(strides.size()) == rank(),
+                    "stride rank mismatch");
+    // Within a dimension, later modes are less significant (the Horner
+    // order of logicalIndexOf).
+    std::vector<int64_t> weight(mode_shape_.size(), 0);
+    std::vector<int64_t> place(rank(), 1);
+    for (int m = static_cast<int>(mode_shape_.size()) - 1; m >= 0; --m) {
+        const int d = mode_dim_[m];
+        if (d < 0)
+            continue;
+        weight[m] = place[d] * strides[d];
+        place[d] *= mode_shape_[m];
+    }
+    return weight;
+}
+
+std::vector<int64_t>
+Layout::threadOffsets(const std::vector<int64_t> &strides) const
+{
+    return ravelTable(mode_shape_, spatial_modes_, positionWeights(strides));
+}
+
+std::vector<int64_t>
+Layout::localOffsets(const std::vector<int64_t> &strides) const
+{
+    return ravelTable(mode_shape_, local_modes_, positionWeights(strides));
+}
+
+std::vector<int64_t>
+Layout::replicaFreeThreads() const
+{
+    std::vector<int64_t> weight(mode_shape_.size(), 0);
+    int64_t place = 1;
+    for (int k = static_cast<int>(spatial_modes_.size()) - 1; k >= 0; --k) {
+        const int m = spatial_modes_[k];
+        if (mode_dim_[m] >= 0)
+            weight[m] = place;
+        place *= mode_shape_[m];
+    }
+    return ravelTable(mode_shape_, spatial_modes_, weight);
 }
 
 Layout

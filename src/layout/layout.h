@@ -99,13 +99,6 @@ class Layout
     /** True when the layout has no replica modes. */
     bool isBijective() const { return replication() == 1; }
 
-    /**
-     * The local slot of @p logical within @p thread's storage, if that
-     * thread holds the element (replication-aware); nullopt otherwise.
-     */
-    std::optional<int64_t>
-    localSlotIn(int64_t thread, const std::vector<int64_t> &logical) const;
-
     /** Number of threads the tile is distributed over. */
     int64_t numThreads() const;
 
@@ -124,6 +117,30 @@ class Layout
 
     /** Layout function f(t, i): logical index held by (thread, local). */
     std::vector<int64_t> logicalIndexOf(int64_t thread, int64_t local) const;
+
+    /**
+     * Flat offset tables of the layout function. A logical index is a
+     * sum of mode-digit contributions, and every mode belongs to the
+     * thread or to the local index, so for any per-dimension strides s
+     *
+     *     dot(f(t, i), s) == threadOffsets(s)[t] + localOffsets(s)[i].
+     *
+     * Replica modes contribute nothing. Checks that visit every
+     * (thread, local) pair index these tables instead of calling
+     * logicalIndexOf.
+     */
+    std::vector<int64_t>
+    threadOffsets(const std::vector<int64_t> &strides) const;
+    std::vector<int64_t>
+    localOffsets(const std::vector<int64_t> &strides) const;
+
+    /**
+     * Each thread with its replica digits zeroed: the holder that
+     * threadLocalOf reports. Thread t holds element e, at local
+     * threadLocalOf(e).second, iff
+     * replicaFreeThreads()[t] == threadLocalOf(e).first.
+     */
+    std::vector<int64_t> replicaFreeThreads() const;
 
     /**
      * Kronecker product (Section 4.2): each element of *this becomes a tile
@@ -168,6 +185,8 @@ class Layout
 
   private:
     void validate() const;
+    std::vector<int64_t>
+    positionWeights(const std::vector<int64_t> &strides) const;
 
     std::vector<int64_t> shape_;
     std::vector<int64_t> mode_shape_;

@@ -455,6 +455,17 @@ referenceSlotMap(const Layout &layout, int64_t thread)
     return map;
 }
 
+/** Slot of @p logical in @p thread by linear search, or nullopt. */
+std::optional<int64_t>
+referenceSlotIn(const Layout &layout, int64_t thread,
+                const std::vector<int64_t> &logical)
+{
+    for (int64_t i = 0; i < layout.localsPerThread(); ++i)
+        if (layout.logicalIndexOf(thread, i) == logical)
+            return i;
+    return std::nullopt;
+}
+
 std::string
 referenceBroadcast(const Layout &la, const Layout &lb)
 {
@@ -521,8 +532,8 @@ referenceMma(const Layout &la, const Layout &lb, const Layout &lc,
             for (int64_t f = 0; f < frags && ok; ++f) {
                 auto cm = qc->logicalIndexOf(w, f);
                 for (int64_t kt = 0; kt < k_tiles && ok; ++kt) {
-                    auto sa = qa->localSlotIn(w, {cm[0], kt});
-                    auto sb = qb->localSlotIn(w, {kt, cm[1]});
+                    auto sa = referenceSlotIn(*qa, w, {cm[0], kt});
+                    auto sb = referenceSlotIn(*qb, w, {kt, cm[1]});
                     const int64_t at = f * k_tiles + kt;
                     ok = sa && sb &&
                          (w == 0 || (a_slot[at] == *sa && b_slot[at] == *sb));

@@ -341,10 +341,14 @@ TEST(LayoutReplica, LocalSlotLookup)
 {
     Layout r = spatial(1, 8) * replicaSpatial(2, 4) * local(1, 2);
     EXPECT_EQ(r.localsPerThread(), 2);
-    // Thread 5 -> n = 5/4 = 1; holds columns 2 and 3.
-    EXPECT_EQ(r.localSlotIn(5, {0, 2}), std::optional<int64_t>(0));
-    EXPECT_EQ(r.localSlotIn(5, {0, 3}), std::optional<int64_t>(1));
-    EXPECT_EQ(r.localSlotIn(5, {0, 4}), std::nullopt);
+    // Thread 5 -> n = 5/4 = 1; holds columns 2 and 3, as does its
+    // replica-free form, thread 4, which threadLocalOf names as holder.
+    const std::vector<int64_t> holder = r.replicaFreeThreads();
+    EXPECT_EQ(holder[5], 4);
+    using Placement = std::pair<int64_t, int64_t>;
+    EXPECT_EQ(r.threadLocalOf({0, 2}), Placement(4, 0));
+    EXPECT_EQ(r.threadLocalOf({0, 3}), Placement(4, 1));
+    EXPECT_NE(r.threadLocalOf({0, 4}).first, holder[5]);
 }
 
 TEST(LayoutReplica, ReplicaProductThreadsMultiply)

@@ -164,6 +164,38 @@ TEST(LayoutProperty, ThreadsTimesLocalsEqualsNumelTimesReplication)
     }
 }
 
+TEST(LayoutProperty, OffsetTablesSplitTheLayoutFunction)
+{
+    // dot(f(t, i), s) == threadOffsets(s)[t] + localOffsets(s)[i], and
+    // the replica-free thread is the holder threadLocalOf reports.
+    Rng rng(1010);
+    for (int trial = 0; trial < 60; ++trial) {
+        Layout base = randomUnified(rng, 2);
+        Layout rep = replicaSpatial(2, rng.nextRange(1, 3));
+        Layout layout = rng.nextBelow(2) ? base * rep : rep * base;
+        const std::vector<int64_t> strides = {rng.nextRange(0, 9),
+                                              rng.nextRange(0, 9)};
+        const auto thread_pos = layout.threadOffsets(strides);
+        const auto local_pos = layout.localOffsets(strides);
+        const auto holder = layout.replicaFreeThreads();
+        ASSERT_EQ(static_cast<int64_t>(thread_pos.size()),
+                  layout.numThreads());
+        ASSERT_EQ(static_cast<int64_t>(local_pos.size()),
+                  layout.localsPerThread());
+        for (int64_t t = 0; t < layout.numThreads(); ++t) {
+            for (int64_t i = 0; i < layout.localsPerThread(); ++i) {
+                auto idx = layout.logicalIndexOf(t, i);
+                ASSERT_EQ(idx[0] * strides[0] + idx[1] * strides[1],
+                          thread_pos[t] + local_pos[i])
+                    << layout.unifiedString();
+                auto [owner, slot] = layout.threadLocalOf(idx);
+                ASSERT_EQ(holder[t], owner) << layout.unifiedString();
+                ASSERT_EQ(slot, i);
+            }
+        }
+    }
+}
+
 TEST(LayoutProperty, RankThreeLayoutsWork)
 {
     Rng rng(909);
