@@ -263,63 +263,57 @@ sweepCached(runtime::Runtime &rt, const SweepRequest &req,
     if (candidates.empty())
         return best;
 
-    // Compile-ahead: every kernel the estimation loop will request (two
-    // probe depths plus the full-depth instance per candidate), fanned
-    // out over the compile pool. The serial loop below then runs
-    // entirely against the runtime's in-memory tier.
-    cache::parallelFor(
-        static_cast<int64_t>(candidates.size()), [&](int64_t i) {
-            const kernels::MatmulConfig &cfg = candidates[i];
-            for (int outers = 1; outers <= 2; ++outers) {
-                kernels::MatmulConfig p = cfg;
-                p.k = cfg.bk * cfg.stages * outers;
-                if (p.group_size > 0)
-                    p.group_size = p.bk;
-                rt.getOrCompile(kernels::buildMatmul(p).main_program,
-                                req.opts);
-            }
-            rt.getOrCompile(kernels::buildMatmul(cfg).main_program,
-                            req.opts);
-        });
-
+    // One compile-pool task per candidate compiles its two probe depths
+    // and its full-depth instance, decodes and ghost-traces the probes,
+    // and prices the extrapolation. Estimates land by candidate index,
+    // so the winner and the tune record below are chosen serially in
+    // candidate order, exactly as a one-thread sweep chooses them.
     obs::Registry::instance()
         .counter("tune_candidates_total")
         .add(static_cast<int64_t>(candidates.size()));
+    std::vector<sim::LatencyBreakdown> estimates(candidates.size());
+    cache::parallelFor(
+        static_cast<int64_t>(candidates.size()), [&](int64_t i) {
+            const kernels::MatmulConfig &cfg = candidates[i];
+            obs::Span candidate_span("autotune", "candidate");
+            if (candidate_span.live())
+                candidate_span.arg("config", cfg.name()).arg("m", req.m);
+            const sim::LatencyBreakdown est =
+                estimateConfig(rt, cfg, req.m, req.opts, req.traits);
+            estimates[i] = est;
+            candidate_span.arg("estimated_us", est.total_us);
+            // The profiler view of this candidate: bound classification
+            // plus every modeled component, as candidate-span args and
+            // as a category-"profile" instant (tools/check_trace.py
+            // validates the instant's schema).
+            if (candidate_span.live()) {
+                const char *bound = obs::boundName(obs::classifyBound(est));
+                candidate_span.arg("bound", bound)
+                    .arg("serial_us", est.serial_us)
+                    .arg("dram_us", est.dram_us);
+                obs::Args profile_args;
+                profile_args.add("config", cfg.name());
+                profile_args.add("bound", bound);
+                profile_args.add("total_us", est.total_us);
+                profile_args.add("dram_us", est.dram_us);
+                profile_args.add("l2_us", est.l2_us);
+                profile_args.add("tc_us", est.tc_us);
+                profile_args.add("simt_us", est.simt_us);
+                profile_args.add("alu_us", est.alu_us);
+                profile_args.add("smem_us", est.smem_us);
+                profile_args.add("serial_us", est.serial_us);
+                obs::Tracer::instance().instant("profile", "candidate",
+                                                profile_args);
+            }
+        });
+
     best.candidates.reserve(candidates.size());
-    for (const kernels::MatmulConfig &cfg : candidates) {
-        obs::Span candidate_span("autotune", "candidate");
-        if (candidate_span.live())
-            candidate_span.arg("config", cfg.name()).arg("m", req.m);
-        sim::LatencyBreakdown est =
-            estimateConfig(rt, cfg, req.m, req.opts, req.traits);
-        candidate_span.arg("estimated_us", est.total_us);
-        // The profiler view of this candidate: bound classification
-        // plus every modeled component, as candidate-span args and as
-        // a category-"profile" instant (tools/check_trace.py validates
-        // the instant's schema).
-        if (candidate_span.live()) {
-            const char *bound = obs::boundName(obs::classifyBound(est));
-            candidate_span.arg("bound", bound)
-                .arg("serial_us", est.serial_us)
-                .arg("dram_us", est.dram_us);
-            obs::Args profile_args;
-            profile_args.add("config", cfg.name());
-            profile_args.add("bound", bound);
-            profile_args.add("total_us", est.total_us);
-            profile_args.add("dram_us", est.dram_us);
-            profile_args.add("l2_us", est.l2_us);
-            profile_args.add("tc_us", est.tc_us);
-            profile_args.add("simt_us", est.simt_us);
-            profile_args.add("alu_us", est.alu_us);
-            profile_args.add("smem_us", est.smem_us);
-            profile_args.add("serial_us", est.serial_us);
-            obs::Tracer::instance().instant("profile", "candidate",
-                                            profile_args);
-        }
-        best.candidates.push_back(cache::TuneCandidate{cfg, est});
-        if (est.total_us < best.latency.total_us) {
-            best.latency = est;
-            best.config = cfg;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+        best.candidates.push_back(
+            cache::TuneCandidate{candidates[i], estimates[i]});
+        if (estimates[i].total_us < best.latency.total_us) {
+            best.latency = estimates[i];
+            best.config = candidates[i];
         }
     }
     if (sweep_span.live())

@@ -2,12 +2,12 @@
  * @file
  * The compile-ahead executor used by cold autotune sweeps.
  *
- * A cold tuning pass compiles a few hundred candidate kernels; the
- * compilations are independent, so the tuner fans them out over a small
- * thread pool before its (serial) estimation loop — every later
- * getOrCompile then hits the runtime's in-memory tier. The compile path
- * is thread-safe by construction: IR nodes are immutable shared trees,
- * the process-global id counters are atomic, and runtime::Runtime
+ * A cold tuning pass compiles, decodes and ghost-traces a few hundred
+ * candidate kernels; the candidates are independent, so the tuner runs
+ * one task per candidate on a small thread pool and only picks the
+ * winner serially. The path is thread-safe by construction: IR nodes
+ * are immutable shared trees, the process-global id counters are
+ * atomic, ghost tracing touches no device, and runtime::Runtime
  * serializes its cache map behind a mutex.
  *
  * TILUS_COMPILE_THREADS pins the worker count (1 runs inline — the

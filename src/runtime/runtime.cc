@@ -171,21 +171,33 @@ Runtime::cachedProgram(const lir::Kernel &kernel) const
 {
     if (sim::resolveEngine(sim::Engine::kAuto) == sim::Engine::kTreeWalk)
         return nullptr;
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(&kernel);
-    if (it == entries_.end())
-        return nullptr;
-    CachedKernel &entry = *it->second;
-    if (!entry.program) {
+    CachedKernel *entry;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = entries_.find(&kernel);
+        if (it == entries_.end())
+            return nullptr;
+        entry = it->second;
+        if (entry->program)
+            return entry->program.get();
+    }
+
+    // Decode outside the lock: cold sweeps decode their candidates'
+    // probes concurrently on the compile pool. A lost race on insertion
+    // just discards a duplicate, as in getOrCompile.
+    std::unique_ptr<sim::MicroProgram> program;
+    {
         obs::Span span("sim", "microop-decode");
         span.arg("kernel", kernel.name);
-        obs::Registry::instance()
-            .counter("sim_microop_decodes_total")
-            .add();
-        entry.program = std::make_unique<sim::MicroProgram>(
+        program = std::make_unique<sim::MicroProgram>(
             sim::compileMicroProgram(kernel));
     }
-    return entry.program.get();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!entry->program) {
+        obs::Registry::instance().counter("sim_microop_decodes_total").add();
+        entry->program = std::move(program);
+    }
+    return entry->program.get();
 }
 
 ir::Env

@@ -108,7 +108,8 @@ class Runtime
 
     /**
      * The cached pre-decoded program for a kernel obtained from
-     * getOrCompile, decoding it on first use (null for foreign kernels —
+     * getOrCompile, decoding it on first use outside the runtime lock, so
+     * pool threads decode concurrently (null for foreign kernels —
      * sim::run then decodes on the fly — and when the process is pinned
      * to the tree-walk engine, where decoding would be pure overhead).
      */
@@ -148,9 +149,10 @@ class Runtime
 
     sim::GpuSpec spec_;
     sim::Device device_;
-    /// Guards cache_/entries_/lazy decode; the simulated device itself
-    /// is NOT thread-safe — only compilation and ghost tracing may run
-    /// concurrently, launches stay single-threaded.
+    /// Guards cache_, entries_ and the installation of decoded programs;
+    /// compilation and decoding themselves run outside it. The simulated
+    /// device is NOT thread-safe — only compilation, decoding and ghost
+    /// tracing may run concurrently, launches stay single-threaded.
     mutable std::mutex mutex_;
     /// Values are decoded lazily by cachedProgram; node addresses are
     /// stable, so entries_ may point into the map.
