@@ -13,9 +13,11 @@ Margins reflect how each number is produced:
     modeled cost tables, so they get tight margins (regressions there
     are real code changes, not noise);
   * interp and compile numbers are host wall clock and can swing tens
-    of percent between runners, so only their large ratios are gated,
-    with wide margins, alongside exact invariants (engine equivalence,
-    warm-compile counts) that must never drift at all.
+    of percent between runners, so they get wide margins, alongside
+    exact invariants (engine equivalence, warm-compile counts) that must
+    never drift at all. Compile costs are gated as absolute cold-path
+    times, not as warm/cold ratios: a faster cold path lowers the ratio
+    and would fail a ratio gate.
 
 Usage:
   bench_compare.py FRESH.json BASELINE.json
@@ -83,8 +85,9 @@ SPECS = {
     "compile": {
         "run_key": None,  # single-document bench: compare top level
         "metrics": [
-            ("operator_tune.speedup", "higher", 0.80),  # wall clock
-            ("engine_tune.speedup", "higher", 0.80),
+            # Host wall clock: fail only past twice the baseline.
+            ("operator_tune.cold_ms", "lower", 1.0),
+            ("engine_tune.cold_ms", "lower", 1.0),
             ("operator_tune.warm_compiles", "equal", 0),
             ("operator_tune.cold_compiles", "equal", 0),
         ],
