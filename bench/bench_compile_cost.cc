@@ -10,7 +10,7 @@
  *  1. per-phase micro costs — program build, compiler::compile,
  *     content fingerprint, kernel serialize/deserialize;
  *  2. one full operator tuning pass, cold (fresh cache directory,
- *     compile-ahead pool active) vs warm (fresh Runtime, persistent
+ *     compile pool active) vs warm (fresh Runtime, persistent
  *     autotune-database hit);
  *  3. an llm::Engine tune pass (every linear of a served model plus the
  *     LM head), cold vs warm across simulated process restarts.

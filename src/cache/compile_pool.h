@@ -1,6 +1,6 @@
 /**
  * @file
- * The compile-ahead executor used by cold autotune sweeps.
+ * The per-candidate executor used by cold autotune sweeps.
  *
  * A cold tuning pass compiles, decodes and ghost-traces a few hundred
  * candidate kernels; the candidates are independent, so the tuner runs
@@ -21,7 +21,7 @@
 namespace tilus {
 namespace cache {
 
-/** Worker count for compile-ahead: TILUS_COMPILE_THREADS or
+/** Worker count of the compile pool: TILUS_COMPILE_THREADS or
     min(hardware_concurrency, 8), never less than 1. */
 int compileThreads();
 

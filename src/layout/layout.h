@@ -110,7 +110,8 @@ class Layout
 
     /**
      * Forward map: logical index -> (thread, local).
-     * Inverse of logicalIndexOf.
+     * Inverse of logicalIndexOf. With replica modes the thread is the
+     * replica-free holder (replica digits 0); see replicaFreeThreads.
      */
     std::pair<int64_t, int64_t>
     threadLocalOf(const std::vector<int64_t> &index) const;

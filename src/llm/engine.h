@@ -109,7 +109,7 @@ class ServingEngine : public StepCostModel
      * and prefill chunk sizes up front, instead of lazily on first
      * lookup. Every matmul tuning goes through the persistent autotune
      * database (cache/tune_db.h): the first process pays the sweeps
-     * (compile-ahead parallelized), repeat processes warm up in
+     * (candidates estimated in parallel), repeat processes warm up in
      * milliseconds. serving::Simulator::warmUp does the same through
      * the StepCostModel interface for the exact bucket sets its event
      * loop will request.

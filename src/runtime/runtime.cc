@@ -125,7 +125,7 @@ Runtime::getOrCompile(const ir::Program &program,
         span.arg("program", program.name).arg("fingerprint", fp.hex());
 
     // Materialize outside the lock: compilation (and disk I/O) is the
-    // expensive part, and the compile-ahead pool runs many of these
+    // expensive part, and the compile pool runs many of these
     // concurrently. A lost race on insertion just discards a duplicate.
     CachedKernel entry;
     bool from_disk = false;

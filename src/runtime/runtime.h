@@ -89,7 +89,7 @@ class Runtime
      * cached kernel pays decode once.
      *
      * Thread-safe: cold autotune sweeps call this concurrently from the
-     * compile-ahead pool (cache/compile_pool.h). Racing compilations of
+     * compile pool (cache/compile_pool.h). Racing compilations of
      * the same fingerprint are deduplicated at insertion.
      */
     const lir::Kernel &getOrCompile(const ir::Program &program,
