@@ -1,13 +1,16 @@
 /**
  * @file
  * Kernel-profiler tests (obs/profile.h): conservation — per-instruction
- * attributed counters must sum exactly to the whole-run SimStats for
- * every suite kernel, on both engines, at O0 and O2 — plus
+ * attributed counters must sum exactly to the whole-run SimStats, and
+ * per-region latency components to the modeled breakdown, for every
+ * suite kernel, on both engines, at O0 and O2 — plus
  * instruction-by-instruction cross-engine agreement, the golden
  * stage-1 u4 matmul profile (region segmentation, roofline
  * classification, JSON round trip), and the disarmed-mode guarantee
  * that profiling off means byte-identical devices.
  */
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "compiler/compiler.h"
@@ -79,6 +82,27 @@ suitePrograms()
     return programs;
 }
 
+/** The regions' components sum to the whole-kernel breakdown, launch
+    time excepted (it prices the launch, not any instruction). */
+void
+expectComponentsConserved(const obs::KernelProfile &p,
+                          const std::string &what)
+{
+    obs::ComponentUs sum;
+    for (const obs::RegionProfile &region : p.regions)
+        sum.add(region.components);
+    auto near = [&](const char *name, double got, double want) {
+        EXPECT_NEAR(got, want, 1e-12 * std::abs(want)) << what << " " << name;
+    };
+    near("dram_us", sum.dram_us, p.latency.dram_us);
+    near("l2_us", sum.l2_us, p.latency.l2_us);
+    near("tc_us", sum.tc_us, p.latency.tc_us);
+    near("simt_us", sum.simt_us, p.latency.simt_us);
+    near("alu_us", sum.alu_us, p.latency.alu_us);
+    near("smem_us", sum.smem_us, p.latency.smem_us);
+    near("serial_us", sum.serial_us, p.latency.serial_us);
+}
+
 /** One profiled seeded run; returns the run's whole-kernel stats. */
 sim::SimStats
 profiledRun(const lir::Kernel &kernel, sim::Engine engine,
@@ -104,6 +128,11 @@ TEST(ProfileConservation, SuiteKernelsBothEnginesBothLevels)
             lir::Kernel kernel = compiler::compile(program, options);
             const char *tag =
                 level == compiler::OptLevel::O0 ? "O0" : "O2";
+            ir::Env env; // profiledRun's scalars; pointers are unused
+            for (const ir::Var &p : kernel.params)
+                env.bind(p, p.name() == "m"   ? 16
+                            : p.name() == "n" ? 512
+                                              : 1);
 
             obs::ProfileCollector tree(kernel);
             sim::SimStats tree_stats =
@@ -120,6 +149,14 @@ TEST(ProfileConservation, SuiteKernelsBothEnginesBothLevels)
             EXPECT_EQ(micro.attributedTotals(),
                       obs::ProfileCounters::capture(micro_stats))
                 << name << " " << tag << " (microop)";
+
+            const std::string what = name + " " + tag;
+            expectComponentsConserved(
+                tree.finish(tree_stats, env, sim::l40s()),
+                what + " (treewalk)");
+            expectComponentsConserved(
+                micro.finish(micro_stats, env, sim::l40s()),
+                what + " (microop)");
 
             // Engines must agree instruction by instruction, not just
             // in aggregate. (Executions are compared except on "exit",

@@ -5,8 +5,11 @@
  * compute-in-flight marks, Exit/While/Break/Continue/Assign control flow,
  * device memory + OOM accounting, GPU spec tables, and the analytical
  * timing model's structural behaviours (pipelining benefit, occupancy,
- * memory-bound scaling with weight width).
+ * memory-bound scaling with weight width) plus bit-exact golden
+ * estimates.
  */
+#include <cstdio>
+
 #include <gtest/gtest.h>
 
 #include "autotune/tuner.h"
@@ -272,6 +275,123 @@ TEST(Timing, OccupancyReflectsSharedMemory)
     auto est_big = autotune::estimateConfig(rt, big, 16);
     EXPECT_GT(est_small.occupancy_blocks_per_sm,
               est_big.occupancy_blocks_per_sm);
+}
+
+// ---------------------------------------------------------------------
+// Golden estimates: every LatencyBreakdown field, bit for bit. The tune
+// database persists these bits, so a refactor of the timing model or of
+// the probe extrapolation must reproduce them exactly.
+// ---------------------------------------------------------------------
+
+/** One pinned estimate (doubles as hex-float literals). Tracing one
+    full-depth block and extrapolating autotune's two short probes must
+    both reproduce it. */
+struct GoldenEstimate
+{
+    const char *label;
+    kernels::MatmulConfig config;
+    compiler::OptLevel level;
+    sim::LatencyBreakdown expected;
+};
+
+std::string
+hexFields(const sim::LatencyBreakdown &l)
+{
+    char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "{%a, %a, %a, %a, %a, %a, %a, %a, %a, %s, %lld, %a}",
+                  l.total_us, l.dram_us, l.l2_us, l.tc_us, l.simt_us,
+                  l.alu_us, l.smem_us, l.serial_us, l.launch_us,
+                  l.pipelined ? "true" : "false",
+                  static_cast<long long>(l.blocks),
+                  l.occupancy_blocks_per_sm);
+    return buf;
+}
+
+void
+expectSameBits(const sim::LatencyBreakdown &expected,
+               const sim::LatencyBreakdown &actual, const std::string &what)
+{
+    EXPECT_EQ(hexFields(expected), hexFields(actual)) << what;
+}
+
+std::vector<GoldenEstimate>
+goldenEstimates()
+{
+    // The bench_profile kernel: stage-1 u4 tensor-core 4096x4096.
+    kernels::MatmulConfig s1;
+    s1.wdtype = uint4();
+    s1.n = 4096;
+    s1.k = 4096;
+    s1.bm = 16;
+    s1.bn = 64;
+    s1.bk = 32;
+    s1.warp_m = 1;
+    s1.warp_n = 2;
+    s1.stages = 1;
+    kernels::MatmulConfig s2 = s1;
+    s2.stages = 2;
+    kernels::MatmulConfig f16 = s2;
+    f16.wdtype = float16();
+    kernels::MatmulConfig simt = s1;
+    simt.bm = 2;
+    simt.bn = 128;
+    simt.simt_warps = 2;
+    simt.use_tensor_cores = false;
+
+    using compiler::OptLevel;
+    return {
+        {"u4 s1 O0", s1, OptLevel::O0,
+         {0x1.87943a3e8433ep+6, 0x1.6371185933a7cp+3, 0x1.f75104d551d69p+0,
+          0x1.a531090ac4e8cp+2, 0x0p+0, 0x1.de646f1561911p-1,
+          0x1.655acdabefdd7p+0, 0x1.28f5c28f5c29p+6, 0x1p+2, false, 64,
+          0x1p+4}},
+        {"u4 s1 O2", s1, OptLevel::O2,
+         {0x1.5fd78d4c1199cp+4, 0x1.6371185933a7cp+3, 0x1.f75104d551d69p+0,
+          0x1.a531090ac4e8cp+2, 0x0p+0, 0x1.de646f1561911p-1,
+          0x1.655acdabefdd7p+0, 0x1.18f5c28f5c28fp+2, 0x1p+2, true, 64,
+          0x1p+4}},
+        {"u4 s2 O2", s2, OptLevel::O2,
+         {0x1.4b85a1c6f2e17p+4, 0x1.6371185933a7cp+3, 0x1.f75104d551d69p+0,
+          0x1.a531090ac4e8cp+2, 0x0p+0, 0x1.de646f1561911p-1,
+          0x1.655acdabefdd7p+0, 0x1.8f5c28f5c28f6p+1, 0x1p+2, true, 64,
+          0x1p+4}},
+        {"f16 s2 O2", f16, OptLevel::O2,
+         {0x1.a8439cc741eaap+5, 0x1.5b5d11fa1563ep+5, 0x1.f75104d551d69p+0,
+          0x1.a531090ac4e8cp+2, 0x0p+0, 0x1.eb5cdacc69d08p-9,
+          0x1.655acdabefdd7p+1, 0x1.8f5c28f5c28f6p+1, 0x1p+2, true, 64,
+          0x1.4p+3}},
+        {"u4 simt O2", simt, OptLevel::O2,
+         {0x1.1a504689e448bp+5, 0x1.4065f1e43cfc2p+3, 0x1.fe4e96ad9da43p+3,
+          0x0p+0, 0x1.771b3765f7ae7p+2, 0x1.adb687102a19bp+1,
+          0x1.0c6f7a0b5ed8dp+3, 0x1.18f5c28f5c28fp+2, 0x1p+2, true, 256,
+          0x1p+4}},
+    };
+}
+
+TEST(Timing, GoldenEstimatesAreBitExact)
+{
+    const int64_t m = 16;
+    runtime::Runtime rt(sim::l40s());
+    for (const GoldenEstimate &golden : goldenEstimates()) {
+        ASSERT_TRUE(golden.config.valid()) << golden.label;
+        compiler::CompileOptions opts;
+        opts.opt_level = golden.level;
+        const lir::Kernel &kernel = rt.getOrCompile(
+            kernels::buildMatmul(golden.config).main_program, opts);
+        ir::Env env;
+        for (const Var &p : kernel.params)
+            env.bind(p, p.name() == "m" ? m : 0);
+        expectSameBits(golden.expected,
+                       sim::estimateLatency(kernel,
+                                            sim::traceOneBlock(kernel, env),
+                                            env, sim::l40s()),
+                       std::string(golden.label) + " (traced)");
+        expectSameBits(
+            golden.expected,
+            autotune::estimateConfig(rt, golden.config, m, opts),
+            std::string(golden.label) + " (probed)");
+    }
 }
 
 } // namespace
