@@ -27,14 +27,9 @@ extrapolate(const sim::SimStats &s1, const sim::SimStats &s2, double extra)
         return a + static_cast<int64_t>(
                        std::llround(static_cast<double>(b - a) * extra));
     };
-    out.global_load_bytes = lin(s1.global_load_bytes, s2.global_load_bytes);
-    out.global_store_bytes =
-        lin(s1.global_store_bytes, s2.global_store_bytes);
-    out.cp_async_bytes = lin(s1.cp_async_bytes, s2.cp_async_bytes);
-    out.global_sectors = lin(s1.global_sectors, s2.global_sectors);
-    out.ldg_ops = lin(s1.ldg_ops, s2.ldg_ops);
-    out.stg_ops = lin(s1.stg_ops, s2.stg_ops);
-    out.bit_extract_ops = lin(s1.bit_extract_ops, s2.bit_extract_ops);
+#define TILUS_EXTRAPOLATE(f) out.f = lin(s1.f, s2.f);
+    TILUS_SIM_COUNTERS(TILUS_EXTRAPOLATE)
+#undef TILUS_EXTRAPOLATE
     for (const auto &[id, b2] : s2.load_bytes_by_global) {
         int64_t b1 = 0;
         auto it = s1.load_bytes_by_global.find(id);
@@ -49,20 +44,6 @@ extrapolate(const sim::SimStats &s1, const sim::SimStats &s2, double extra)
             b1 = it->second;
         out.store_bytes_by_global[id] = lin(b1, b2);
     }
-    out.smem_load_bytes = lin(s1.smem_load_bytes, s2.smem_load_bytes);
-    out.smem_store_bytes = lin(s1.smem_store_bytes, s2.smem_store_bytes);
-    out.lds_ops = lin(s1.lds_ops, s2.lds_ops);
-    out.sts_ops = lin(s1.sts_ops, s2.sts_ops);
-    out.ldmatrix_ops = lin(s1.ldmatrix_ops, s2.ldmatrix_ops);
-    out.mma_ops = lin(s1.mma_ops, s2.mma_ops);
-    out.mma_flops = lin(s1.mma_flops, s2.mma_flops);
-    out.simt_fma = lin(s1.simt_fma, s2.simt_fma);
-    out.alu_elt_ops = lin(s1.alu_elt_ops, s2.alu_elt_ops);
-    out.cast_vec_elems = lin(s1.cast_vec_elems, s2.cast_vec_elems);
-    out.cast_scalar_elems =
-        lin(s1.cast_scalar_elems, s2.cast_scalar_elems);
-    out.bar_syncs = lin(s1.bar_syncs, s2.bar_syncs);
-    out.cp_commits = lin(s1.cp_commits, s2.cp_commits);
     out.max_groups_in_flight =
         std::max(s1.max_groups_in_flight, s2.max_groups_in_flight);
     out.overlapped = s1.overlapped || s2.overlapped;

@@ -5,15 +5,16 @@
  * classification against the target GpuSpec.
  *
  * Both execution engines (the tree-walk interpreter and the pre-decoded
- * micro-op engine) attribute every additive SimStats counter delta to
- * the LIR leaf instruction that produced it: a ProfileCollector hangs
- * off sim::RunOptions, each leaf execution is bracketed by a counter
- * snapshot, and the delta lands on the instruction's row. Because every
- * additive counter update happens inside a leaf execution (the
- * kernel-end cp.async drain only flips the non-additive `overlapped`
- * flag), the per-instruction rows sum *exactly* to the whole-kernel
- * SimStats — a conservation law tests/test_profile.cc enforces across
- * the kernel suite on both engines.
+ * micro-op engine) attribute every additive counter delta (the
+ * sim::Counters list in sim/stats.h) to the LIR leaf instruction that
+ * produced it: a ProfileCollector hangs off sim::RunOptions, each leaf
+ * execution is bracketed by a counter snapshot, and the delta lands on
+ * the instruction's row. Because every additive counter update happens
+ * inside a leaf execution (the kernel-end cp.async drain only flips the
+ * non-additive `overlapped` flag), the per-instruction rows sum
+ * *exactly* to the whole-kernel SimStats — a conservation law
+ * tests/test_profile.cc enforces across the kernel suite on both
+ * engines.
  *
  * On top of the raw rows, ProfileCollector::finish() folds in the
  * analytical model (sim::estimateLatency): each instruction receives a
@@ -43,7 +44,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,89 +56,6 @@
 
 namespace tilus {
 namespace obs {
-
-/**
- * The additive SimStats counters — the fields for which per-instruction
- * attribution is exact (the conservation law). Non-additive fields
- * (max_groups_in_flight, overlapped, the per-global byte maps, engine
- * diagnostics) are deliberately excluded: they are not sums over leaf
- * executions. When adding a counter to sim::SimStats, add it here iff
- * it accumulates by += inside leaf execution (see the author contract
- * in src/obs/README.md).
- */
-#define TILUS_PROFILE_COUNTERS(X)                                        \
-    X(global_load_bytes)                                                 \
-    X(global_store_bytes)                                                \
-    X(cp_async_bytes)                                                    \
-    X(global_sectors)                                                    \
-    X(ldg_ops)                                                           \
-    X(stg_ops)                                                           \
-    X(bit_extract_ops)                                                   \
-    X(smem_load_bytes)                                                   \
-    X(smem_store_bytes)                                                  \
-    X(lds_ops)                                                           \
-    X(sts_ops)                                                           \
-    X(ldmatrix_ops)                                                      \
-    X(mma_ops)                                                           \
-    X(mma_flops)                                                         \
-    X(simt_fma)                                                          \
-    X(alu_elt_ops)                                                       \
-    X(cast_vec_elems)                                                    \
-    X(cast_scalar_elems)                                                 \
-    X(bar_syncs)                                                         \
-    X(cp_commits)
-
-/** Snapshot of the additive SimStats counters. */
-struct ProfileCounters
-{
-#define TILUS_PROFILE_FIELD(f) int64_t f = 0;
-    TILUS_PROFILE_COUNTERS(TILUS_PROFILE_FIELD)
-#undef TILUS_PROFILE_FIELD
-
-    static ProfileCounters
-    capture(const sim::SimStats &s)
-    {
-        ProfileCounters out;
-#define TILUS_PROFILE_FIELD(f) out.f = s.f;
-        TILUS_PROFILE_COUNTERS(TILUS_PROFILE_FIELD)
-#undef TILUS_PROFILE_FIELD
-        return out;
-    }
-
-    void
-    add(const ProfileCounters &other)
-    {
-#define TILUS_PROFILE_FIELD(f) f += other.f;
-        TILUS_PROFILE_COUNTERS(TILUS_PROFILE_FIELD)
-#undef TILUS_PROFILE_FIELD
-    }
-
-    /** Accumulate (after - before), the one-leaf delta. */
-    void
-    addDelta(const ProfileCounters &before, const sim::SimStats &after)
-    {
-#define TILUS_PROFILE_FIELD(f) f += after.f - before.f;
-        TILUS_PROFILE_COUNTERS(TILUS_PROFILE_FIELD)
-#undef TILUS_PROFILE_FIELD
-    }
-
-    bool
-    operator==(const ProfileCounters &other) const
-    {
-#define TILUS_PROFILE_FIELD(f)                                           \
-    if (f != other.f)                                                    \
-        return false;
-        TILUS_PROFILE_COUNTERS(TILUS_PROFILE_FIELD)
-#undef TILUS_PROFILE_FIELD
-        return true;
-    }
-
-    bool
-    operator!=(const ProfileCounters &other) const
-    {
-        return !(*this == other);
-    }
-};
 
 /** Kernel region an instruction belongs to, relative to the main loop. */
 enum class Region : uint8_t
@@ -165,7 +82,6 @@ enum class Bound : uint8_t
 };
 
 const char *boundName(Bound bound);
-std::optional<Bound> boundFromName(const std::string &name);
 
 /** Per-instruction / per-region share of the modeled latency (µs).
     Components overlap when the kernel pipelines, so sums can exceed
@@ -215,7 +131,7 @@ struct InstrProfile
     std::string opcode;    ///< printKernel-style mnemonic
     Region region = Region::kPrologue;
     int64_t executions = 0;
-    ProfileCounters counters;
+    sim::Counters counters;
     ComponentUs components;
 
     double
@@ -231,7 +147,7 @@ struct RegionProfile
     Region region = Region::kPrologue;
     int64_t instructions = 0; ///< static instruction count
     int64_t executions = 0;
-    ProfileCounters counters;
+    sim::Counters counters;
     ComponentUs components;
     Bound bound = Bound::kDram;
 };
@@ -247,7 +163,7 @@ struct KernelProfile
     double ridge_flops_per_byte = 0;  ///< tc peak / DRAM bandwidth
     bool memory_bound = false;        ///< arith_intensity < ridge
     Bound bound = Bound::kDram;       ///< whole-kernel classification
-    ProfileCounters totals;           ///< == whole-run additive SimStats
+    sim::Counters totals;             ///< == whole-run additive SimStats
     std::array<RegionProfile, kNumRegions> regions;
     std::vector<InstrProfile> instructions;
 
@@ -258,11 +174,8 @@ struct KernelProfile
     }
 
     /** Deterministic JSON object (sorted keys within each level,
-        instructions in id order); round-trips through fromJson. */
+        instructions in id order). */
     std::string toJson() const;
-
-    /** Parse a toJson() document; nullopt on malformed input. */
-    static std::optional<KernelProfile> fromJson(const std::string &json);
 };
 
 /**
@@ -281,8 +194,8 @@ class ProfileCollector
     /** Hot path: credit (after - before) to @p op's row. Called by both
         engines around every leaf execution when profiling is armed. */
     void
-    attribute(const lir::LOp *op, const ProfileCounters &before,
-              const sim::SimStats &after)
+    attribute(const lir::LOp *op, const sim::Counters &before,
+              const sim::Counters &after)
     {
         auto it = index_.find(op);
         if (it == index_.end())
@@ -315,7 +228,7 @@ class ProfileCollector
 
     /** Sum of every row's counters; equals the run's additive SimStats
         whenever the whole run was profiled. */
-    ProfileCounters attributedTotals() const;
+    sim::Counters attributedTotals() const;
     /// @}
 
     /**

@@ -125,8 +125,7 @@ class BlockExecutor
                 if (options_.profile == nullptr) {
                     execOp(op);
                 } else {
-                    const obs::ProfileCounters before =
-                        obs::ProfileCounters::capture(stats_);
+                    const Counters before = stats_;
                     execOp(op);
                     options_.profile->attribute(&op, before, stats_);
                 }

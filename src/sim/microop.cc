@@ -794,8 +794,7 @@ class MicroExecutor
                 if (options_.profile == nullptr) {
                     execLeaf(leaf);
                 } else {
-                    const obs::ProfileCounters before =
-                        obs::ProfileCounters::capture(stats_);
+                    const Counters before = stats_;
                     execLeaf(leaf);
                     options_.profile->attribute(leaf.op, before,
                                                 stats_);

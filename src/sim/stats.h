@@ -16,40 +16,92 @@
 namespace tilus {
 namespace sim {
 
-/** Counters for one traced/executed region (usually one thread block). */
-struct SimStats
-{
-    // Global memory.
-    int64_t global_load_bytes = 0;
-    int64_t global_store_bytes = 0;
-    int64_t cp_async_bytes = 0;
-    int64_t global_sectors = 0; ///< distinct 32B sectors per warp access
-    int64_t ldg_ops = 0;
-    int64_t stg_ops = 0;
-    int64_t bit_extract_ops = 0; ///< sub-byte fallback accesses
+/**
+ * The additive counters: each only ever grows by += inside one leaf
+ * instruction's execution, so it sums over instructions and over
+ * blocks. This one list declares sim::Counters and drives
+ * SimStats::merge, the tuner's probe extrapolation
+ * (autotune/tuner.cc) and the profiler's per-instruction attribution
+ * (obs/profile.h). Maxima, flags and the per-global byte maps are not
+ * sums over leaves and stay out (see the author contract in
+ * src/obs/README.md).
+ */
+#define TILUS_SIM_COUNTERS(X)                                            \
+    /* Global memory. */                                                 \
+    X(global_load_bytes)                                                 \
+    X(global_store_bytes)                                                \
+    X(cp_async_bytes)                                                    \
+    X(global_sectors) /* distinct 32B sectors per warp access */         \
+    X(ldg_ops)                                                           \
+    X(stg_ops)                                                           \
+    X(bit_extract_ops) /* sub-byte fallback accesses */                  \
+    /* Shared memory. */                                                 \
+    X(smem_load_bytes)                                                   \
+    X(smem_store_bytes)                                                  \
+    X(lds_ops)                                                           \
+    X(sts_ops)                                                           \
+    X(ldmatrix_ops)                                                      \
+    /* Compute. */                                                       \
+    X(mma_ops)                                                           \
+    X(mma_flops)                                                         \
+    X(simt_fma)                                                          \
+    X(alu_elt_ops)                                                       \
+    X(cast_vec_elems)                                                    \
+    X(cast_scalar_elems)                                                 \
+    /* Synchronization. */                                               \
+    X(bar_syncs)                                                         \
+    X(cp_commits)
 
+/** One int64 per TILUS_SIM_COUNTERS entry. */
+struct Counters
+{
+#define TILUS_SIM_COUNTER_FIELD(f) int64_t f = 0;
+    TILUS_SIM_COUNTERS(TILUS_SIM_COUNTER_FIELD)
+#undef TILUS_SIM_COUNTER_FIELD
+
+    void
+    add(const Counters &other)
+    {
+#define TILUS_SIM_COUNTER_ADD(f) f += other.f;
+        TILUS_SIM_COUNTERS(TILUS_SIM_COUNTER_ADD)
+#undef TILUS_SIM_COUNTER_ADD
+    }
+
+    /** Accumulate (after - before), one leaf's delta. */
+    void
+    addDelta(const Counters &before, const Counters &after)
+    {
+#define TILUS_SIM_COUNTER_DELTA(f) f += after.f - before.f;
+        TILUS_SIM_COUNTERS(TILUS_SIM_COUNTER_DELTA)
+#undef TILUS_SIM_COUNTER_DELTA
+    }
+
+    bool
+    operator==(const Counters &other) const
+    {
+#define TILUS_SIM_COUNTER_EQ(f)                                          \
+    if (f != other.f)                                                    \
+        return false;
+        TILUS_SIM_COUNTERS(TILUS_SIM_COUNTER_EQ)
+#undef TILUS_SIM_COUNTER_EQ
+        return true;
+    }
+
+    bool
+    operator!=(const Counters &other) const
+    {
+        return !(*this == other);
+    }
+};
+
+/** Counters for one traced/executed region (usually one thread block). */
+struct SimStats : Counters
+{
     /// Per-global-tensor read traffic (for the L2 reuse model).
     std::map<int, int64_t> load_bytes_by_global;
     std::map<int, int64_t> store_bytes_by_global;
 
-    // Shared memory.
-    int64_t smem_load_bytes = 0;
-    int64_t smem_store_bytes = 0;
-    int64_t lds_ops = 0;
-    int64_t sts_ops = 0;
-    int64_t ldmatrix_ops = 0;
-
-    // Compute.
-    int64_t mma_ops = 0;
-    int64_t mma_flops = 0;
-    int64_t simt_fma = 0;
-    int64_t alu_elt_ops = 0;
-    int64_t cast_vec_elems = 0;
-    int64_t cast_scalar_elems = 0;
-
-    // Synchronization / pipelining.
-    int64_t bar_syncs = 0;
-    int64_t cp_commits = 0;
+    // Pipelining.
     int max_groups_in_flight = 0;
     bool overlapped = false; ///< copies stayed in flight across compute
 
@@ -61,30 +113,11 @@ struct SimStats
     void
     merge(const SimStats &other)
     {
-        global_load_bytes += other.global_load_bytes;
-        global_store_bytes += other.global_store_bytes;
-        cp_async_bytes += other.cp_async_bytes;
-        global_sectors += other.global_sectors;
-        ldg_ops += other.ldg_ops;
-        stg_ops += other.stg_ops;
-        bit_extract_ops += other.bit_extract_ops;
+        add(other);
         for (const auto &[id, bytes] : other.load_bytes_by_global)
             load_bytes_by_global[id] += bytes;
         for (const auto &[id, bytes] : other.store_bytes_by_global)
             store_bytes_by_global[id] += bytes;
-        smem_load_bytes += other.smem_load_bytes;
-        smem_store_bytes += other.smem_store_bytes;
-        lds_ops += other.lds_ops;
-        sts_ops += other.sts_ops;
-        ldmatrix_ops += other.ldmatrix_ops;
-        mma_ops += other.mma_ops;
-        mma_flops += other.mma_flops;
-        simt_fma += other.simt_fma;
-        alu_elt_ops += other.alu_elt_ops;
-        cast_vec_elems += other.cast_vec_elems;
-        cast_scalar_elems += other.cast_scalar_elems;
-        bar_syncs += other.bar_syncs;
-        cp_commits += other.cp_commits;
         max_groups_in_flight =
             std::max(max_groups_in_flight, other.max_groups_in_flight);
         overlapped = overlapped || other.overlapped;
