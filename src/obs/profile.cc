@@ -374,96 +374,44 @@ ProfileCollector::finish(const sim::SimStats &block_stats,
 
     // Roofline verdict: block flops (2 per fma) per global byte moved,
     // against the spec's tensor-core/DRAM ridge point.
-    const double flops = static_cast<double>(block_stats.mma_flops) +
-                         2.0 * static_cast<double>(block_stats.simt_fma);
-    const double bytes =
-        static_cast<double>(block_stats.global_load_bytes +
-                            block_stats.global_store_bytes);
-    out.arith_intensity = bytes > 0 ? flops / bytes : 0.0;
+    const sim::ComponentWork block = sim::componentWork(block_stats);
+    const double flops = block.tc_flops + 2.0 * block.fma;
+    out.arith_intensity =
+        block.global_bytes > 0 ? flops / block.global_bytes : 0.0;
     out.ridge_flops_per_byte =
         spec.fp16_tc_tflops * 1e12 / (spec.dram_gbps * 1e9);
     out.memory_bound = out.arith_intensity < out.ridge_flops_per_byte;
 
-    // ---- Attribute each LatencyBreakdown component over instructions.
-    // Weights mirror sim/timing.cc: an instruction's share of a
-    // component equals its share of the counters that component's cost
-    // formula consumes. cp_async_bytes are already included in
-    // global_load_bytes at issue, so the memory weight must not add
-    // them twice.
-    auto mem_w = [](const sim::Counters &c) {
-        return static_cast<double>(c.global_load_bytes +
-                                   c.global_store_bytes);
-    };
-    auto tc_w = [](const sim::Counters &c) {
-        return static_cast<double>(c.mma_flops);
-    };
-    auto simt_w = [](const sim::Counters &c) {
-        return static_cast<double>(c.simt_fma);
-    };
-    auto alu_w = [](const sim::Counters &c) {
-        return static_cast<double>(c.alu_elt_ops) +
-               1.0 * static_cast<double>(c.cast_vec_elems) +
-               6.0 * static_cast<double>(c.cast_scalar_elems) +
-               4.0 * static_cast<double>(c.bit_extract_ops) +
-               2.0 * static_cast<double>(c.ldg_ops + c.stg_ops);
-    };
-    auto smem_w = [](const sim::Counters &c) {
-        return static_cast<double>(c.smem_load_bytes +
-                                   c.smem_store_bytes);
-    };
-    auto sync_w = [](const sim::Counters &c) {
-        return static_cast<double>(c.bar_syncs + c.cp_commits);
-    };
+    // ---- Attribute each LatencyBreakdown component over instructions:
+    // an instruction's share of a component is its share of the work
+    // that component prices. Every weight in the table is an integer,
+    // so the totals' work is exactly the sum of the rows' work.
+    const sim::ComponentWork total = sim::componentWork(out.totals);
 
-    double mem_total = 0, tc_total = 0, simt_total = 0, alu_total = 0,
-           smem_total = 0, sync_total = 0;
-    for (const InstrProfile &row : out.instructions) {
-        mem_total += mem_w(row.counters);
-        tc_total += tc_w(row.counters);
-        simt_total += simt_w(row.counters);
-        alu_total += alu_w(row.counters);
-        smem_total += smem_w(row.counters);
-        sync_total += sync_w(row.counters);
-    }
-
-    // Serialized time splits into the synchronization term (0.01 µs per
-    // bar.sync / commit, attributable per instruction) and the
-    // structural round-trip / pipeline-fill term, which belongs to the
-    // main loop as a whole rather than to any one instruction.
-    const double waves =
-        std::ceil(static_cast<double>(out.latency.blocks) /
-                  std::max(1.0, out.latency.occupancy_blocks_per_sm *
-                                    spec.num_sms));
-    double sync_us =
-        0.01 *
-        static_cast<double>(block_stats.bar_syncs +
-                            block_stats.cp_commits) *
-        waves;
-    sync_us = std::min(sync_us, out.latency.serial_us);
+    // Serialized time splits into the synchronization term (attributable
+    // per instruction) and the structural round-trip / pipeline-fill
+    // term, which belongs to the main loop as a whole rather than to
+    // any one instruction.
+    const double sync_us =
+        std::min(sim::kSyncOpUs * block.sync_ops *
+                     sim::waves(out.latency, spec),
+                 out.latency.serial_us);
     const double structural_serial_us = out.latency.serial_us - sync_us;
 
+    auto share = [](double us, double part, double whole) {
+        return whole > 0 ? us * part / whole : 0.0;
+    };
+    const sim::LatencyBreakdown &l = out.latency;
     for (InstrProfile &row : out.instructions) {
-        const sim::Counters &c = row.counters;
-        if (mem_total > 0) {
-            row.components.dram_us =
-                out.latency.dram_us * mem_w(c) / mem_total;
-            row.components.l2_us =
-                out.latency.l2_us * mem_w(c) / mem_total;
-        }
-        if (tc_total > 0)
-            row.components.tc_us =
-                out.latency.tc_us * tc_w(c) / tc_total;
-        if (simt_total > 0)
-            row.components.simt_us =
-                out.latency.simt_us * simt_w(c) / simt_total;
-        if (alu_total > 0)
-            row.components.alu_us =
-                out.latency.alu_us * alu_w(c) / alu_total;
-        if (smem_total > 0)
-            row.components.smem_us =
-                out.latency.smem_us * smem_w(c) / smem_total;
-        if (sync_total > 0)
-            row.components.serial_us = sync_us * sync_w(c) / sync_total;
+        const sim::ComponentWork w = sim::componentWork(row.counters);
+        ComponentUs &c = row.components;
+        c.dram_us = share(l.dram_us, w.global_bytes, total.global_bytes);
+        c.l2_us = share(l.l2_us, w.global_bytes, total.global_bytes);
+        c.tc_us = share(l.tc_us, w.tc_flops, total.tc_flops);
+        c.simt_us = share(l.simt_us, w.fma, total.fma);
+        c.alu_us = share(l.alu_us, w.alu_ops, total.alu_ops);
+        c.smem_us = share(l.smem_us, w.smem_bytes, total.smem_bytes);
+        c.serial_us = share(sync_us, w.sync_ops, total.sync_ops);
     }
 
     // ---- Region rollups and classification.

@@ -18,9 +18,10 @@
  *
  * On top of the raw rows, ProfileCollector::finish() folds in the
  * analytical model (sim::estimateLatency): each instruction receives a
- * share of every LatencyBreakdown component proportional to its weight
- * in that component's cost formula (the weights mirror sim/timing.cc
- * exactly), instructions roll up into prologue / main-loop / epilogue
+ * share of every LatencyBreakdown component equal to its share of the
+ * work that component prices — it folds timing's exported table
+ * (sim::componentWork, sim::kSyncOpUs, sim::waves) rather than copying
+ * it — instructions roll up into prologue / main-loop / epilogue
  * regions, and each region — plus the whole kernel — is classified by
  * its dominant component (DRAM-, L2-, tensor-core-, SIMT-, ALU-, smem-
  * or serialization-bound) alongside the arithmetic-intensity-vs-ridge

@@ -24,6 +24,34 @@ globalByteSize(const lir::GlobalDecl &g, const ir::Env &args)
 
 } // namespace
 
+ComponentWork
+componentWork(const Counters &c)
+{
+    ComponentWork w;
+    // cp.async bytes are already counted in global_load_bytes at issue.
+    w.global_bytes =
+        static_cast<double>(c.global_load_bytes + c.global_store_bytes);
+    w.tc_flops = static_cast<double>(c.mma_flops);
+    w.fma = static_cast<double>(c.simt_fma);
+    w.alu_ops = static_cast<double>(c.alu_elt_ops) +
+                1.0 * static_cast<double>(c.cast_vec_elems) +
+                6.0 * static_cast<double>(c.cast_scalar_elems) +
+                4.0 * static_cast<double>(c.bit_extract_ops) +
+                2.0 * static_cast<double>(c.ldg_ops + c.stg_ops);
+    w.smem_bytes =
+        static_cast<double>(c.smem_load_bytes + c.smem_store_bytes);
+    w.sync_ops = static_cast<double>(c.bar_syncs + c.cp_commits);
+    return w;
+}
+
+double
+waves(const LatencyBreakdown &breakdown, const GpuSpec &spec)
+{
+    return std::ceil(
+        static_cast<double>(breakdown.blocks) /
+        std::max(1.0, breakdown.occupancy_blocks_per_sm * spec.num_sms));
+}
+
 LatencyBreakdown
 estimateLatency(const lir::Kernel &kernel, const SimStats &block_stats,
                 const ir::Env &args, const GpuSpec &spec,
@@ -49,8 +77,6 @@ estimateLatency(const lir::Kernel &kernel, const SimStats &block_stats,
     out.occupancy_blocks_per_sm = bps;
     const double concurrent =
         std::min<double>(static_cast<double>(blocks), bps * spec.num_sms);
-    const double waves = std::ceil(static_cast<double>(blocks) /
-                                   std::max(1.0, bps * spec.num_sms));
 
     // ---- Memory: unique bytes at DRAM, re-reads at L2 ------------------
     double dram_bytes = 0, l2_bytes = 0;
@@ -80,22 +106,15 @@ estimateLatency(const lir::Kernel &kernel, const SimStats &block_stats,
     const double compute_frac = std::min(
         1.0, concurrent / static_cast<double>(spec.num_sms));
     const double cf = std::max(compute_frac, 0.05);
-    out.tc_us = static_cast<double>(block_stats.mma_flops) * blocks /
-                (spec.fp16_tc_tflops * 1e12 * cf) * 1e6;
-    out.simt_us = static_cast<double>(block_stats.simt_fma) * 2 * blocks /
-                  (spec.fp32_tflops * 1e12 * cf) * 1e6;
-    const double alu_ops =
-        static_cast<double>(block_stats.alu_elt_ops) +
-        1.0 * static_cast<double>(block_stats.cast_vec_elems) +
-        6.0 * static_cast<double>(block_stats.cast_scalar_elems) +
-        4.0 * static_cast<double>(block_stats.bit_extract_ops) +
-        2.0 * static_cast<double>(block_stats.ldg_ops +
-                                  block_stats.stg_ops);
+    const ComponentWork work = componentWork(block_stats);
+    out.tc_us =
+        work.tc_flops * blocks / (spec.fp16_tc_tflops * 1e12 * cf) * 1e6;
+    out.simt_us =
+        work.fma * 2 * blocks / (spec.fp32_tflops * 1e12 * cf) * 1e6;
     out.alu_us =
-        alu_ops * blocks / (spec.alu_topsps * 1e12 * cf) * 1e6;
-    out.smem_us = static_cast<double>(block_stats.smem_load_bytes +
-                                      block_stats.smem_store_bytes) *
-                  blocks / (spec.smem_gbps * 1e9 * cf) * 1e6;
+        work.alu_ops * blocks / (spec.alu_topsps * 1e12 * cf) * 1e6;
+    out.smem_us =
+        work.smem_bytes * blocks / (spec.smem_gbps * 1e9 * cf) * 1e6;
     // Tensor cores and the ALU/LSU pipes dual-issue; the slower pipe
     // bounds the kernel's compute time.
     const double t_comp =
@@ -121,10 +140,8 @@ estimateLatency(const lir::Kernel &kernel, const SimStats &block_stats,
         per_block_serial_us +=
             spec.dram_latency_us * block_stats.max_groups_in_flight;
     }
-    per_block_serial_us +=
-        0.01 * static_cast<double>(block_stats.bar_syncs +
-                                   block_stats.cp_commits);
-    out.serial_us = per_block_serial_us * waves;
+    per_block_serial_us += kSyncOpUs * work.sync_ops;
+    out.serial_us = per_block_serial_us * waves(out, spec);
 
     // ---- Combine ---------------------------------------------------------
     double core;

@@ -18,6 +18,11 @@
  *    pipelined kernels overlap memory and compute (cp.async observed in
  *    flight across compute);
  *  - wave quantization and occupancy-scaled bandwidth for small grids.
+ *
+ * The work each component prices is one exported table
+ * (componentWork, kSyncOpUs, waves) over the additive counter list in
+ * sim/stats.h; the kernel profiler (obs/profile.h) splits the
+ * components over instructions by folding the same table.
  */
 #pragma once
 
@@ -59,6 +64,30 @@ struct LatencyBreakdown
     int64_t blocks = 0;
     double occupancy_blocks_per_sm = 0;
 };
+
+/**
+ * The work each latency component prices, from additive counters (one
+ * block's, or one instruction's share of a run).
+ */
+struct ComponentWork
+{
+    /// Global-memory traffic, priced by the DRAM and L2 components
+    /// (estimateLatency splits a block's traffic per global tensor).
+    double global_bytes = 0;
+    double tc_flops = 0;   ///< tensor-core flops
+    double fma = 0;        ///< SIMT fused multiply-adds
+    double alu_ops = 0;    ///< weighted dequant/cast/addressing ALU ops
+    double smem_bytes = 0; ///< shared-memory traffic
+    double sync_ops = 0;   ///< bar.syncs + cp.async commits
+};
+
+ComponentWork componentWork(const Counters &counters);
+
+/** Serialized microseconds each sync op adds to its block. */
+constexpr double kSyncOpUs = 0.01;
+
+/** Waves the grid runs in, from a breakdown's blocks and occupancy. */
+double waves(const LatencyBreakdown &breakdown, const GpuSpec &spec);
 
 /**
  * Estimate a kernel's latency on `spec` from one block's traced stats.
