@@ -5,6 +5,7 @@
 #include "cache/fingerprint.h"
 #include "cache/tune_db.h"
 #include "compiler/options.h"
+#include "obs/trace.h"
 
 namespace tilus {
 namespace obs {
@@ -54,19 +55,11 @@ buildInfo()
 std::string
 buildInfoJson()
 {
-    auto escape = [](const std::string &s) {
-        std::string out;
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                out += '\\';
-            out += c;
-        }
-        return out;
-    };
     std::ostringstream oss;
-    oss << "{\"git\":\"" << escape(gitDescribe()) << "\",\"compiler\":\""
-        << escape(compilerVersion()) << "\",\"build_type\":\""
-        << escape(buildType()) << "\",\"default_opt_level\":\"O2\""
+    oss << "{\"git\":\"" << jsonEscape(gitDescribe())
+        << "\",\"compiler\":\"" << jsonEscape(compilerVersion())
+        << "\",\"build_type\":\"" << jsonEscape(buildType())
+        << "\",\"default_opt_level\":\"O2\""
         << ",\"compiler_revision\":" << compiler::kCompilerRevision
         << ",\"cache_format_version\":" << cache::kCacheFormatVersion
         << ",\"tune_db_version\":" << cache::kTuneDbVersion << "}";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/trace.h"
 #include "support/error.h"
 
 namespace tilus {
@@ -108,10 +109,10 @@ std::string
 ServingReport::toJson() const
 {
     std::ostringstream oss;
-    oss << "{\"scheduler\":\"" << detail::jsonStr(scheduler)
-        << "\",\"system\":\"" << detail::jsonStr(system)
-        << "\",\"model\":\"" << detail::jsonStr(model)
-        << "\",\"wdtype\":\"" << detail::jsonStr(wdtype)
+    oss << "{\"scheduler\":\"" << obs::jsonEscape(scheduler)
+        << "\",\"system\":\"" << obs::jsonEscape(system)
+        << "\",\"model\":\"" << obs::jsonEscape(model)
+        << "\",\"wdtype\":\"" << obs::jsonEscape(wdtype)
         << "\",\"rate_rps\":" << detail::jsonNum(rate_rps)
         << ",\"seed\":" << seed << ",\"total_requests\":" << total_requests
         << ",\"completed\":" << completed << ",\"rejected\":" << rejected

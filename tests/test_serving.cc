@@ -20,6 +20,7 @@
 #include <set>
 #include <utility>
 
+#include "obs/trace.h"
 #include "serving/simulator.h"
 #include "support/fault.h"
 #include "support/percentile.h"
@@ -868,6 +869,20 @@ TEST(Report, GoldenJsonSchemaIsPinned)
         "\"batch_histogram\":[0,4,2,2],"
         "\"series\":{\"window_ms\":5,\"windows\":3,"
         "\"throughput_tok_s\":[800,800,0],\"queue_depth\":[1,1,0]}}");
+}
+
+TEST(Report, IdentityStringsUseTheSharedJsonEscaper)
+{
+    // Free-form identity strings go through obs::jsonEscape, the escaper
+    // the trace, profile and build_info documents share.
+    ServingReport report;
+    report.scheduler = "a\"b\\c\nd\x01" "e\r";
+    const std::string head =
+        "{\"scheduler\":\"" + obs::jsonEscape(report.scheduler) + "\",";
+    EXPECT_EQ(report.toJson().compare(0, head.size(), head), 0)
+        << report.toJson();
+    EXPECT_EQ(obs::jsonEscape(report.scheduler),
+              "a\\\"b\\\\c\\nd\\u0001e\\r");
 }
 
 /** Assert sketch estimate @p got is within @p tol relative error of
