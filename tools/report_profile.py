@@ -17,7 +17,10 @@ Validation (always applied, report or --check):
   * exactly three regions in prologue/main_loop/epilogue order;
   * conservation: per-instruction counters sum exactly to the profile
     totals, and per-region counters roll up the same way (the in-
-    process invariant, re-checked on the serialized artifact).
+    process invariant, re-checked on the serialized artifact);
+  * cost split: for each latency component the regions sum to the
+    profile's latency value (launch excluded), and each instruction's
+    est_us is the sum of its components, both within 1e-9 relative.
 
 Usage:
   report_profile.py PROFILE.json            # validate + render
@@ -39,6 +42,7 @@ BOUNDS = {"dram", "l2", "tensor_core", "simt", "alu", "smem",
 REGIONS = ("prologue", "main_loop", "epilogue")
 COMPONENTS = ("dram_us", "l2_us", "tc_us", "simt_us", "alu_us",
               "smem_us", "serial_us")
+REL_TOL = 1e-9
 
 
 def fail(msg):
@@ -57,6 +61,21 @@ def check_counters(where, counters):
 def add_counters(total, counters):
     for key, value in counters.items():
         total[key] = total.get(key, 0) + value
+
+
+def check_close(where, what, got, want):
+    if abs(got - want) > REL_TOL * abs(want):
+        fail(f"{where}: {what} is {got!r}, expected {want!r} "
+             f"(relative tolerance {REL_TOL})")
+
+
+def check_components(where, components):
+    if not isinstance(components, dict):
+        fail(f"{where}: components must be an object")
+    for c in COMPONENTS:
+        value = components.get(c)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            fail(f"{where}: component '{c}' is not a number: {value!r}")
 
 
 def validate_profile(profile, index):
@@ -90,7 +109,15 @@ def validate_profile(profile, index):
                  f"{region.get('bound')!r} is not a roofline bound")
         check_counters(f"{where}.regions[{expected_name}]",
                        region["counters"])
+        check_components(f"{where}.regions[{expected_name}]",
+                         region.get("components"))
         add_counters(region_sum, region["counters"])
+    # The regions split every modeled component without loss.
+    latency = profile["latency"]
+    check_components(f"{where}.latency", latency)
+    for c in COMPONENTS:
+        check_close(where, f"regions' {c} sum",
+                    sum(r["components"][c] for r in regions), latency[c])
 
     instr_sum = {}
     for instr in profile["instructions"]:
@@ -104,6 +131,9 @@ def validate_profile(profile, index):
         if instr["region"] not in REGIONS:
             fail(f"{iw}: region {instr['region']!r} unknown")
         check_counters(iw, instr["counters"])
+        check_components(iw, instr["components"])
+        check_close(iw, "est_us", instr["est_us"],
+                    sum(instr["components"][c] for c in COMPONENTS))
         add_counters(instr_sum, instr["counters"])
 
     # Conservation on the serialized artifact: instruction rows and
@@ -224,7 +254,7 @@ def main(argv):
     profiles = validate(doc)
     kernels = ", ".join(p["kernel"] for p in profiles) or "none"
     print(f"report_profile: OK: {len(profiles)} profile(s) "
-          f"({kernels}), conservation holds")
+          f"({kernels}), counters and cost split conserve")
     if not check_only:
         render(profiles, top_n)
 
