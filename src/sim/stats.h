@@ -86,12 +86,6 @@ struct Counters
 #undef TILUS_SIM_COUNTER_EQ
         return true;
     }
-
-    bool
-    operator!=(const Counters &other) const
-    {
-        return !(*this == other);
-    }
 };
 
 /** Counters for one traced/executed region (usually one thread block). */

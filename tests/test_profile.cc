@@ -128,11 +128,15 @@ TEST(ProfileConservation, SuiteKernelsBothEnginesBothLevels)
             lir::Kernel kernel = compiler::compile(program, options);
             const char *tag =
                 level == compiler::OptLevel::O0 ? "O0" : "O2";
-            ir::Env env; // profiledRun's scalars; pointers are unused
+            // profiledRun's scalars; ghost tracing reads no pointer.
+            ir::Env env;
             for (const ir::Var &p : kernel.params)
                 env.bind(p, p.name() == "m"   ? 16
                             : p.name() == "n" ? 512
-                                              : 1);
+                                              : 0);
+            // The model prices one traced block, as Runtime::launch
+            // does; the rows split it by the whole run's work.
+            const sim::SimStats block = sim::traceOneBlock(kernel, env);
 
             obs::ProfileCollector tree(kernel);
             sim::SimStats tree_stats =
@@ -149,11 +153,10 @@ TEST(ProfileConservation, SuiteKernelsBothEnginesBothLevels)
                 << name << " " << tag << " (microop)";
 
             const std::string what = name + " " + tag;
+            expectComponentsConserved(tree.finish(block, env, sim::l40s()),
+                                      what + " (treewalk)");
             expectComponentsConserved(
-                tree.finish(tree_stats, env, sim::l40s()),
-                what + " (treewalk)");
-            expectComponentsConserved(
-                micro.finish(micro_stats, env, sim::l40s()),
+                micro.finish(block, env, sim::l40s()),
                 what + " (microop)");
 
             // Engines must agree instruction by instruction, not just
@@ -233,6 +236,7 @@ TEST(ProfileGolden, MainLoopBoundFlipsFromSerializationToDram)
         EXPECT_GT(p->arith_intensity, 0);
         EXPECT_LT(p->arith_intensity, p->ridge_flops_per_byte);
         EXPECT_EQ(p->blocks_profiled, 1);
+        expectComponentsConserved(*p, "golden " + p->kernel);
     }
 
     // Region segmentation: the k-loop dominates and every instruction
