@@ -28,7 +28,8 @@ ComponentWork
 componentWork(const Counters &c)
 {
     ComponentWork w;
-    // cp.async bytes are already counted in global_load_bytes at issue.
+    // A cp.async also counts its bytes in global_load_bytes, so
+    // cp_async_bytes stays out.
     w.global_bytes =
         static_cast<double>(c.global_load_bytes + c.global_store_bytes);
     w.tc_flops = static_cast<double>(c.mma_flops);
