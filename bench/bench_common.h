@@ -13,7 +13,10 @@
 #include <vector>
 
 #include "baselines/baselines.h"
+#include "obs/sink.h"
 #include "runtime/runtime.h"
+#include "support/json.h"
+#include "support/string_util.h"
 
 namespace tilus {
 namespace bench {
@@ -41,6 +44,30 @@ fmtMs(double us)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.1f", us / 1000.0);
     return buf;
+}
+
+/** A BENCH_*.json array: one element per line, indented two spaces. */
+inline std::string
+jsonRows(const std::vector<std::string> &rows)
+{
+    return "[\n  " + join(rows, ",\n  ") + "\n]";
+}
+
+/**
+ * Write a bench's JSON document, plus a newline, to argv[1] when given,
+ * else print it. Returns false, after a warning, when the file cannot
+ * be written.
+ */
+inline bool
+writeDocument(int argc, char **argv, const std::string &doc)
+{
+    if (argc <= 1)
+        std::printf("\n%s\n", doc.c_str());
+    else if (obs::writeSink(argv[0], argv[1], doc + "\n"))
+        std::printf("\nwrote %s\n", argv[1]);
+    else
+        return false;
+    return true;
 }
 
 /** The six weight types of Figure 10 in the paper's order. */

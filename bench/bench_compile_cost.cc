@@ -26,8 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <unistd.h>
 #include <vector>
 
@@ -206,40 +204,41 @@ main(int argc, char **argv)
                 static_cast<long long>(kstats.disk_errors +
                                        tstats.disk_errors));
 
-    std::ostringstream json;
-    json << "{\"bench\":\"compile\",\"build_info\":"
-         << obs::buildInfoJson() << ",\"gpu\":\"L40S\""
-         << ",\"compile_threads\":" << cache::compileThreads()
-         << ",\"phase_ms\":{"
-         << "\"build\":" << build_ms << ",\"compile\":" << compile_ms
-         << ",\"fingerprint\":" << fingerprint_ms
-         << ",\"serialize\":" << serialize_ms
-         << ",\"deserialize\":" << deserialize_ms
-         << ",\"payload_bytes\":" << payload.size() << "}"
-         << ",\"operator_tune\":{\"candidates\":" << op_candidates
-         << ",\"cold_ms\":" << op_cold_ms
-         << ",\"warm_ms\":" << op_warm_ms
-         << ",\"cold_compiles\":" << op_cold_compiles
-         << ",\"warm_compiles\":" << op_warm_compiles
-         << ",\"speedup\":" << op_cold_ms / op_warm_ms << "}"
-         << ",\"engine_tune\":{\"model\":\"" << model.name << "\""
-         << ",\"cold_ms\":" << engine_cold_ms
-         << ",\"warm_ms\":" << engine_warm_ms
-         << ",\"speedup\":" << engine_speedup << "}"
-         << ",\"kernel_artifacts_stored\":" << kstats.stores
-         << ",\"tune_records_stored\":" << tstats.stores << "}\n";
-    if (argc > 1) {
-        std::ofstream out(argv[1]);
-        out << json.str();
-        out.flush();
-        if (!out) {
-            std::fprintf(stderr, "\nerror: cannot write %s\n", argv[1]);
-            return 1;
-        }
-        std::printf("\nwrote %s\n", argv[1]);
-    } else {
-        std::printf("\n%s", json.str().c_str());
-    }
+    const std::string doc =
+        json::Object()
+            .add("bench", "compile")
+            .raw("build_info", obs::buildInfoJson())
+            .add("gpu", "L40S")
+            .add("compile_threads", int64_t{cache::compileThreads()})
+            .raw("phase_ms",
+                 json::Object()
+                     .add("build", build_ms)
+                     .add("compile", compile_ms)
+                     .add("fingerprint", fingerprint_ms)
+                     .add("serialize", serialize_ms)
+                     .add("deserialize", deserialize_ms)
+                     .add("payload_bytes", uint64_t{payload.size()})
+                     .str())
+            .raw("operator_tune",
+                 json::Object()
+                     .add("candidates", int64_t{op_candidates})
+                     .add("cold_ms", op_cold_ms)
+                     .add("warm_ms", op_warm_ms)
+                     .add("cold_compiles", int64_t{op_cold_compiles})
+                     .add("warm_compiles", int64_t{op_warm_compiles})
+                     .add("speedup", op_cold_ms / op_warm_ms)
+                     .str())
+            .raw("engine_tune", json::Object()
+                                    .add("model", model.name)
+                                    .add("cold_ms", engine_cold_ms)
+                                    .add("warm_ms", engine_warm_ms)
+                                    .add("speedup", engine_speedup)
+                                    .str())
+            .add("kernel_artifacts_stored", kstats.stores)
+            .add("tune_records_stored", tstats.stores)
+            .str();
+    if (!writeDocument(argc, argv, doc))
+        return 1;
 
     std::error_code ec;
     std::filesystem::remove_all(cache_dir, ec);

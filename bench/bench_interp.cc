@@ -20,8 +20,6 @@
  */
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "bench_common.h"
 #include "obs/build_info.h"
@@ -218,44 +216,35 @@ main(int argc, char **argv)
             failed = true;
     }
 
-    std::ostringstream json;
-    json << "{\"bench\":\"interp\",\"build_info\":"
-         << obs::buildInfoJson() << ",\"m\":" << m
-         << ",\"profile_identical\":"
-         << (profile_identical ? "true" : "false")
-         << ",\"profile_disarmed_s\":" << profile_disarmed_s
-         << ",\"profile_armed_s\":" << profile_armed_s
-         << ",\"profile_overhead\":"
-         << profile_armed_s / profile_disarmed_s << ",\"runs\":[\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const Row &row = rows[i];
-        json << "  {\"kernel\":\"" << row.name << "\""
-             << ",\"treewalk_s\":" << row.treewalk_s
-             << ",\"microop_s\":" << row.microop_s << ",\"speedup\":"
-             << row.treewalk_s / row.microop_s
-             << ",\"treewalk_cells_per_s\":" << row.cells / row.treewalk_s
-             << ",\"microop_cells_per_s\":" << row.cells / row.microop_s
-             << ",\"identical\":" << (row.identical ? "true" : "false")
-             << ",\"used_microops\":"
-             << (row.used_microops ? "true" : "false")
-             << ",\"affine_exprs\":" << row.affine
-             << ",\"uniform_exprs\":" << row.uniform
-             << ",\"generic_exprs\":" << row.generic << "}"
-             << (i + 1 < rows.size() ? ",\n" : "\n");
-    }
-    json << "]}\n";
-    if (argc > 1) {
-        std::ofstream out(argv[1]);
-        out << json.str();
-        out.flush();
-        if (!out) {
-            std::fprintf(stderr, "\nerror: cannot write %s\n", argv[1]);
-            return 1;
-        }
-        std::printf("\nwrote %s\n", argv[1]);
-    } else {
-        std::printf("\n%s", json.str().c_str());
-    }
+    std::vector<std::string> runs;
+    for (const Row &row : rows)
+        runs.push_back(
+            json::Object()
+                .add("kernel", row.name)
+                .add("treewalk_s", row.treewalk_s)
+                .add("microop_s", row.microop_s)
+                .add("speedup", row.treewalk_s / row.microop_s)
+                .add("treewalk_cells_per_s", row.cells / row.treewalk_s)
+                .add("microop_cells_per_s", row.cells / row.microop_s)
+                .add("identical", row.identical)
+                .add("used_microops", row.used_microops)
+                .add("affine_exprs", int64_t{row.affine})
+                .add("uniform_exprs", int64_t{row.uniform})
+                .add("generic_exprs", int64_t{row.generic})
+                .str());
+    const std::string doc =
+        json::Object()
+            .add("bench", "interp")
+            .raw("build_info", obs::buildInfoJson())
+            .add("m", m)
+            .add("profile_identical", profile_identical)
+            .add("profile_disarmed_s", profile_disarmed_s)
+            .add("profile_armed_s", profile_armed_s)
+            .add("profile_overhead", profile_armed_s / profile_disarmed_s)
+            .raw("runs", jsonRows(runs))
+            .str();
+    if (!writeDocument(argc, argv, doc))
+        return 1;
 
     // The gate line prints on success too, so a green CI log still
     // shows what was checked and with how much margin. Fallback counts

@@ -11,9 +11,6 @@
  * per-pass latency deltas. With an argument, the sweep is recorded as a
  * JSON document (see BENCH_opt.json).
  */
-#include <fstream>
-#include <sstream>
-
 #include "bench_common.h"
 #include "obs/build_info.h"
 #include "obs/metrics.h"
@@ -154,43 +151,35 @@ main(int argc, char **argv)
         }
     }
 
-    std::ostringstream json;
-    json << "{\"bench\":\"opt\",\"build_info\":" << obs::buildInfoJson()
-         << ",\"gpu\":\"L40S\",\"m\":" << m << ",\"runs\":[\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const Row &row = rows[i];
-        json << "  {\"kernel\":\"" << row.name << "\",\"o0_total_us\":"
-             << row.o0.total_us << ",\"o2_total_us\":" << row.o2.total_us
-             << ",\"o0_pipelined\":"
-             << (row.o0.pipelined ? "true" : "false")
-             << ",\"o2_pipelined\":"
-             << (row.o2.pipelined ? "true" : "false")
-             << ",\"o0_bar_syncs\":" << row.o0_bar_syncs
-             << ",\"o2_bar_syncs\":" << row.o2_bar_syncs
-             << ",\"o0_serial_us\":" << row.o0.serial_us
-             << ",\"o2_serial_us\":" << row.o2.serial_us
-             << ",\"o0_dram_us\":" << row.o0.dram_us
-             << ",\"o2_dram_us\":" << row.o2.dram_us
-             << ",\"o0_alu_us\":" << row.o0.alu_us
-             << ",\"o2_alu_us\":" << row.o2.alu_us << ",\"o0_bound\":\""
-             << obs::boundName(obs::classifyBound(row.o0))
-             << "\",\"o2_bound\":\""
-             << obs::boundName(obs::classifyBound(row.o2)) << "\"}"
-             << (i + 1 < rows.size() ? ",\n" : "\n");
-    }
-    json << "]}\n";
-    if (argc > 1) {
-        std::ofstream out(argv[1]);
-        out << json.str();
-        out.flush();
-        if (!out) {
-            std::fprintf(stderr, "\nerror: cannot write %s\n", argv[1]);
-            return 1;
-        }
-        std::printf("\nwrote %s\n", argv[1]);
-    } else {
-        std::printf("\n%s", json.str().c_str());
-    }
+    std::vector<std::string> runs;
+    for (const Row &row : rows)
+        runs.push_back(
+            json::Object()
+                .add("kernel", row.name)
+                .add("o0_total_us", row.o0.total_us)
+                .add("o2_total_us", row.o2.total_us)
+                .add("o0_pipelined", row.o0.pipelined)
+                .add("o2_pipelined", row.o2.pipelined)
+                .add("o0_bar_syncs", row.o0_bar_syncs)
+                .add("o2_bar_syncs", row.o2_bar_syncs)
+                .add("o0_serial_us", row.o0.serial_us)
+                .add("o2_serial_us", row.o2.serial_us)
+                .add("o0_dram_us", row.o0.dram_us)
+                .add("o2_dram_us", row.o2.dram_us)
+                .add("o0_alu_us", row.o0.alu_us)
+                .add("o2_alu_us", row.o2.alu_us)
+                .add("o0_bound", obs::boundName(obs::classifyBound(row.o0)))
+                .add("o2_bound", obs::boundName(obs::classifyBound(row.o2)))
+                .str());
+    const std::string doc = json::Object()
+                                .add("bench", "opt")
+                                .raw("build_info", obs::buildInfoJson())
+                                .add("gpu", "L40S")
+                                .add("m", m)
+                                .raw("runs", jsonRows(runs))
+                                .str();
+    if (!writeDocument(argc, argv, doc))
+        return 1;
 
     // Self-gate on the headline kernel (stage-1 u4: the one the
     // software-pipelining pass exists for): O2 must pipeline it and win

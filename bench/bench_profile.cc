@@ -13,8 +13,6 @@
  * this binary as its smoke test.
  */
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 #include "bench_common.h"
 #include "obs/build_info.h"
@@ -85,12 +83,15 @@ evaluate(const kernels::MatmulConfig &cfg, compiler::OptLevel level,
 std::string
 componentJson(const obs::ComponentUs &c)
 {
-    std::ostringstream oss;
-    oss << "{\"alu_us\":" << c.alu_us << ",\"dram_us\":" << c.dram_us
-        << ",\"l2_us\":" << c.l2_us << ",\"serial_us\":" << c.serial_us
-        << ",\"simt_us\":" << c.simt_us << ",\"smem_us\":" << c.smem_us
-        << ",\"tc_us\":" << c.tc_us << "}";
-    return oss.str();
+    return json::Object()
+        .add("alu_us", c.alu_us)
+        .add("dram_us", c.dram_us)
+        .add("l2_us", c.l2_us)
+        .add("serial_us", c.serial_us)
+        .add("simt_us", c.simt_us)
+        .add("smem_us", c.smem_us)
+        .add("tc_us", c.tc_us)
+        .str();
 }
 
 } // namespace
@@ -154,38 +155,32 @@ main(int argc, char **argv)
                         long(hot[i]->executions));
     }
 
-    std::ostringstream json;
-    json << "{\"bench\":\"profile\",\"build_info\":"
-         << obs::buildInfoJson() << ",\"gpu\":\"L40S\",\"m\":" << m
-         << ",\"runs\":[\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const Row &row = rows[i];
+    std::vector<std::string> runs;
+    for (const Row &row : rows) {
         const obs::KernelProfile &p = row.profile;
         const obs::RegionProfile &loop =
             p.region(obs::Region::kMainLoop);
-        json << "  {\"kernel\":\"" << row.name << "\",\"opt_level\":\""
-             << row.opt_level << "\",\"main_loop_bound\":\""
-             << obs::boundName(loop.bound) << "\",\"kernel_bound\":\""
-             << obs::boundName(p.bound) << "\",\"memory_bound\":"
-             << (p.memory_bound ? "true" : "false")
-             << ",\"arith_intensity\":" << p.arith_intensity
-             << ",\"total_us\":" << p.latency.total_us
-             << ",\"main_loop_components\":" << componentJson(loop.components)
-             << "}" << (i + 1 < rows.size() ? ",\n" : "\n");
+        runs.push_back(
+            json::Object()
+                .add("kernel", row.name)
+                .add("opt_level", row.opt_level)
+                .add("main_loop_bound", obs::boundName(loop.bound))
+                .add("kernel_bound", obs::boundName(p.bound))
+                .add("memory_bound", p.memory_bound)
+                .add("arith_intensity", p.arith_intensity)
+                .add("total_us", p.latency.total_us)
+                .raw("main_loop_components", componentJson(loop.components))
+                .str());
     }
-    json << "]}\n";
-    if (argc > 1) {
-        std::ofstream out(argv[1]);
-        out << json.str();
-        out.flush();
-        if (!out) {
-            std::fprintf(stderr, "\nerror: cannot write %s\n", argv[1]);
-            return 1;
-        }
-        std::printf("\nwrote %s\n", argv[1]);
-    } else {
-        std::printf("\n%s", json.str().c_str());
-    }
+    const std::string doc = json::Object()
+                                .add("bench", "profile")
+                                .raw("build_info", obs::buildInfoJson())
+                                .add("gpu", "L40S")
+                                .add("m", m)
+                                .raw("runs", jsonRows(runs))
+                                .str();
+    if (!writeDocument(argc, argv, doc))
+        return 1;
 
     // The Figure 1(b) story as a hard gate: the profiler must see the
     // synchronous loop stall (serialization-bound at O0) disappear into

@@ -45,7 +45,6 @@
  */
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <vector>
 
 #include "support/percentile.h"
@@ -400,17 +399,17 @@ runStressSection()
                 (long long)buckets, rel_err, merge_rel_err, kStressTol,
                 match ? "matches" : "DIFFERS FROM");
 
-    std::ostringstream ev;
-    ev << "{\"requests\":" << kStressRequests
-       << ",\"clients\":" << kStressClients
-       << ",\"shard_clients\":" << kStressShardClients
-       << ",\"sketch_buckets\":" << buckets
-       << ",\"sketch_mode_matches_full\":" << (match ? "true" : "false")
-       << ",\"max_quantile_rel_err\":" << rel_err
-       << ",\"merge_max_quantile_rel_err\":" << merge_rel_err
-       << ",\"rel_err_bound\":" << kStressTol
-       << ",\"report\":" << lean.toJson() << "}";
-    out.evidence = ev.str();
+    out.evidence = json::Object()
+                       .add("requests", kStressRequests)
+                       .add("clients", kStressClients)
+                       .add("shard_clients", kStressShardClients)
+                       .add("sketch_buckets", buckets)
+                       .add("sketch_mode_matches_full", match)
+                       .add("max_quantile_rel_err", rel_err)
+                       .add("merge_max_quantile_rel_err", merge_rel_err)
+                       .add("rel_err_bound", kStressTol)
+                       .raw("report", lean.toJson())
+                       .str();
     return out;
 }
 
@@ -519,15 +518,16 @@ runFaultSection()
                 (long long)faulted.retries, (long long)faulted.failed,
                 faulted.availability);
 
-    std::ostringstream ev;
-    ev << "{\"step_fault_rate\":" << kFaultRate << ",\"spec\":\""
-       << kFaultSpec << "\",\"injected\":" << faulted.injected_faults
-       << ",\"fault_free_goodput_req_s\":" << clean.goodput_req_s
-       << ",\"goodput_frac\":" << goodput_frac
-       << ",\"goodput_floor\":" << kFaultGoodputFloor
-       << ",\"availability_floor\":" << kFaultAvailabilityFloor
-       << ",\"report\":" << faulted.toJson() << "}";
-    out.evidence = ev.str();
+    out.evidence = json::Object()
+                       .add("step_fault_rate", kFaultRate)
+                       .add("spec", kFaultSpec)
+                       .add("injected", faulted.injected_faults)
+                       .add("fault_free_goodput_req_s", clean.goodput_req_s)
+                       .add("goodput_frac", goodput_frac)
+                       .add("goodput_floor", kFaultGoodputFloor)
+                       .add("availability_floor", kFaultAvailabilityFloor)
+                       .raw("report", faulted.toJson())
+                       .str();
     return out;
 }
 
@@ -648,28 +648,22 @@ main(int argc, char **argv)
                 "reproduces every number exactly.\n",
                 kSloMs, kTightSloMs, (unsigned long long)kSeed);
 
-    std::ostringstream json;
-    json << "{\"bench\":\"serving\",\"build_info\":"
-         << obs::buildInfoJson() << ",\"gpu\":\"L40S\",\"seed\":" << kSeed
-         << ",\"slo_ms\":" << kSloMs
-         << ",\"tight_slo_ms\":" << kTightSloMs << ",\"runs\":[\n";
-    for (size_t i = 0; i < reports.size(); ++i)
-        json << "  " << reports[i].toJson()
-             << (i + 1 < reports.size() ? ",\n" : "\n");
-    json << "],\"stress\":" << stress.evidence
-         << ",\"faults\":" << faults.evidence << "}\n";
-    if (argc > 1) {
-        std::ofstream out(argv[1]);
-        out << json.str();
-        out.flush();
-        if (!out) {
-            std::fprintf(stderr, "\nerror: cannot write %s\n", argv[1]);
-            return 1;
-        }
-        std::printf("\nwrote %s\n", argv[1]);
-    } else {
-        std::printf("\n%s", json.str().c_str());
-    }
+    std::vector<std::string> runs;
+    for (const serving::ServingReport &report : reports)
+        runs.push_back(report.toJson());
+    const std::string doc = json::Object()
+                                .add("bench", "serving")
+                                .raw("build_info", obs::buildInfoJson())
+                                .add("gpu", "L40S")
+                                .add("seed", kSeed)
+                                .add("slo_ms", kSloMs)
+                                .add("tight_slo_ms", kTightSloMs)
+                                .raw("runs", jsonRows(runs))
+                                .raw("stress", stress.evidence)
+                                .raw("faults", faults.evidence)
+                                .str();
+    if (!writeDocument(argc, argv, doc))
+        return 1;
     if (!gates_ok) {
         std::fprintf(stderr, "\nerror: serving gates failed (see GATE "
                              "FAIL lines above)\n");

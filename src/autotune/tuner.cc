@@ -272,7 +272,7 @@ sweepCached(runtime::Runtime &rt, const SweepRequest &req,
                 candidate_span.arg("bound", bound)
                     .arg("serial_us", est.serial_us)
                     .arg("dram_us", est.dram_us);
-                obs::Args profile_args;
+                json::Object profile_args;
                 profile_args.add("config", cfg.name());
                 profile_args.add("bound", bound);
                 profile_args.add("total_us", est.total_us);

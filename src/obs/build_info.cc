@@ -5,7 +5,7 @@
 #include "cache/fingerprint.h"
 #include "cache/tune_db.h"
 #include "compiler/options.h"
-#include "obs/trace.h"
+#include "support/json.h"
 
 namespace tilus {
 namespace obs {
@@ -55,15 +55,15 @@ buildInfo()
 std::string
 buildInfoJson()
 {
-    std::ostringstream oss;
-    oss << "{\"git\":\"" << jsonEscape(gitDescribe())
-        << "\",\"compiler\":\"" << jsonEscape(compilerVersion())
-        << "\",\"build_type\":\"" << jsonEscape(buildType())
-        << "\",\"default_opt_level\":\"O2\""
-        << ",\"compiler_revision\":" << compiler::kCompilerRevision
-        << ",\"cache_format_version\":" << cache::kCacheFormatVersion
-        << ",\"tune_db_version\":" << cache::kTuneDbVersion << "}";
-    return oss.str();
+    return json::Object()
+        .add("git", gitDescribe())
+        .add("compiler", compilerVersion())
+        .add("build_type", buildType())
+        .add("default_opt_level", "O2")
+        .add("compiler_revision", int64_t{compiler::kCompilerRevision})
+        .add("cache_format_version", int64_t{cache::kCacheFormatVersion})
+        .add("tune_db_version", int64_t{cache::kTuneDbVersion})
+        .str();
 }
 
 } // namespace obs

@@ -1,59 +1,25 @@
 #include "obs/metrics.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
-#include "support/logging.h"
+#include "obs/sink.h"
+#include "support/json.h"
+#include "support/string_util.h"
 
 namespace tilus {
 namespace obs {
 
-namespace {
-
-std::string
-fmtDouble(double v)
-{
-    // Integral values print without an exponent or trailing zeros so
-    // the JSON dump diffs cleanly; everything else gets %.6g.
-    if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        return buf;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-void
-atexitDump()
-{
-    const char *path = std::getenv("TILUS_METRICS");
-    if (!path || !*path)
-        return;
-    if (!Registry::instance().writeFile(path))
-        warn(std::string("TILUS_METRICS: cannot write ") + path);
-}
-
-} // namespace
-
 Registry &
 Registry::instance()
 {
-    // Leaked on purpose: the atexit dump (and late metric updates from
+    // Leaked on purpose: the exit dump (and late metric updates from
     // static destructors) must never race registry destruction.
-    static Registry *registry = [] {
-        Registry *r = new Registry();
-        if (const char *path = std::getenv("TILUS_METRICS");
-            path && *path)
-            std::atexit(atexitDump);
-        return r;
-    }();
+    static Registry *registry = new Registry();
+    static const std::string *path = new std::string(armExitSink(
+        "TILUS_METRICS", [] { registry->writeFile(*path); }));
     return *registry;
 }
 
@@ -149,45 +115,33 @@ std::string
 Registry::toJson() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::ostringstream oss;
-    oss << "{\"counters\":{";
-    bool first = true;
-    for (const auto &[name, c] : counters_) {
-        oss << (first ? "" : ",") << "\"" << name
-            << "\":" << c->value();
-        first = false;
-    }
-    oss << "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, g] : gauges_) {
-        oss << (first ? "" : ",") << "\"" << name
-            << "\":" << fmtDouble(g->value());
-        first = false;
-    }
-    oss << "},\"histograms\":{";
-    first = true;
+    json::Object counters, gauges, histograms;
+    for (const auto &[name, c] : counters_)
+        counters.add(name, c->value());
+    for (const auto &[name, g] : gauges_)
+        gauges.raw(name, json::exact(g->value()));
     for (const auto &[name, h] : histograms_) {
-        oss << (first ? "" : ",") << "\"" << name
-            << "\":{\"count\":" << h->count()
-            << ",\"sum\":" << fmtDouble(h->sum())
-            << ",\"p50\":" << fmtDouble(h->quantile(50))
-            << ",\"p95\":" << fmtDouble(h->quantile(95))
-            << ",\"p99\":" << fmtDouble(h->quantile(99))
-            << ",\"buckets\":[";
-        bool bfirst = true;
-        for (int i = 0; i < Histogram::kBuckets; ++i) {
-            if (h->bucketCount(i) == 0)
-                continue;
-            oss << (bfirst ? "" : ",") << "["
-                << fmtDouble(Histogram::bucketBound(i)) << ","
-                << h->bucketCount(i) << "]";
-            bfirst = false;
-        }
-        oss << "]}";
-        first = false;
+        std::vector<std::string> buckets;
+        for (int i = 0; i < Histogram::kBuckets; ++i)
+            if (h->bucketCount(i) != 0)
+                buckets.push_back(
+                    "[" + json::exact(Histogram::bucketBound(i)) + "," +
+                    std::to_string(h->bucketCount(i)) + "]");
+        histograms.raw(name,
+                       json::Object()
+                           .add("count", h->count())
+                           .raw("sum", json::exact(h->sum()))
+                           .raw("p50", json::exact(h->quantile(50)))
+                           .raw("p95", json::exact(h->quantile(95)))
+                           .raw("p99", json::exact(h->quantile(99)))
+                           .raw("buckets", "[" + join(buckets, ",") + "]")
+                           .str());
     }
-    oss << "}}";
-    return oss.str();
+    return json::Object()
+        .raw("counters", counters.str())
+        .raw("gauges", gauges.str())
+        .raw("histograms", histograms.str())
+        .str();
 }
 
 std::string
@@ -201,7 +155,7 @@ Registry::toPrometheus() const
     }
     for (const auto &[name, g] : gauges_) {
         oss << "# TYPE tilus_" << name << " gauge\n"
-            << "tilus_" << name << " " << fmtDouble(g->value()) << "\n";
+            << "tilus_" << name << " " << json::exact(g->value()) << "\n";
     }
     for (const auto &[name, h] : histograms_) {
         oss << "# TYPE tilus_" << name << " histogram\n";
@@ -211,12 +165,12 @@ Registry::toPrometheus() const
                 continue;
             cumulative += h->bucketCount(i);
             oss << "tilus_" << name << "_bucket{le=\""
-                << fmtDouble(Histogram::bucketBound(i)) << "\"} "
+                << json::exact(Histogram::bucketBound(i)) << "\"} "
                 << cumulative << "\n";
         }
         oss << "tilus_" << name << "_bucket{le=\"+Inf\"} " << h->count()
             << "\n"
-            << "tilus_" << name << "_sum " << fmtDouble(h->sum()) << "\n"
+            << "tilus_" << name << "_sum " << json::exact(h->sum()) << "\n"
             << "tilus_" << name << "_count " << h->count() << "\n";
         // Bucket-estimated tails as companion gauges (a histogram
         // family cannot legally carry quantile-labelled samples).
@@ -225,7 +179,7 @@ Registry::toPrometheus() const
         for (const auto &[pct, suffix] : tails) {
             oss << "# TYPE tilus_" << name << suffix << " gauge\n"
                 << "tilus_" << name << suffix << " "
-                << fmtDouble(h->quantile(pct)) << "\n";
+                << json::exact(h->quantile(pct)) << "\n";
         }
     }
     return oss.str();
@@ -236,12 +190,8 @@ Registry::writeFile(const std::string &path) const
 {
     const bool prom = path.size() >= 5 &&
                       path.compare(path.size() - 5, 5, ".prom") == 0;
-    std::ofstream out(path);
-    out << (prom ? toPrometheus() : toJson());
-    if (!prom)
-        out << "\n";
-    out.flush();
-    return static_cast<bool>(out);
+    return writeSink("TILUS_METRICS", path,
+                     prom ? toPrometheus() : toJson() + "\n");
 }
 
 void

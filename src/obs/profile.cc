@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <functional>
 
 #include "obs/build_info.h"
-#include "obs/trace.h"
-#include "support/logging.h"
+#include "obs/sink.h"
+#include "support/json.h"
+#include "support/string_util.h"
 
 namespace tilus {
 namespace obs {
@@ -91,79 +89,48 @@ struct OpcodeVisitor
     const char *operator()(const lir::ExitOp &) const { return "exit"; }
 };
 
-/** Shortest decimal form of @p v that parses back exactly. */
-std::string
-fmtDouble(double v)
-{
-    if (!std::isfinite(v))
-        return "0"; // profiles never carry inf/nan; keep JSON valid
-    char buf[40];
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
-}
-
 std::string
 countersJson(const sim::Counters &c)
 {
-    std::string o = "{";
-    bool first = true;
-#define TILUS_COUNTER_JSON(f)                                            \
-    if (!first)                                                          \
-        o += ',';                                                        \
-    first = false;                                                       \
-    o += "\"" #f "\":";                                                  \
-    o += std::to_string(c.f);
+    json::Object o;
+#define TILUS_COUNTER_JSON(f) o.add(#f, c.f);
     TILUS_SIM_COUNTERS(TILUS_COUNTER_JSON)
 #undef TILUS_COUNTER_JSON
-    o += '}';
-    return o;
+    return o.str();
 }
 
 std::string
 componentsJson(const ComponentUs &c)
 {
-    std::string o = "{";
-    o += "\"alu_us\":" + fmtDouble(c.alu_us);
-    o += ",\"dram_us\":" + fmtDouble(c.dram_us);
-    o += ",\"l2_us\":" + fmtDouble(c.l2_us);
-    o += ",\"serial_us\":" + fmtDouble(c.serial_us);
-    o += ",\"simt_us\":" + fmtDouble(c.simt_us);
-    o += ",\"smem_us\":" + fmtDouble(c.smem_us);
-    o += ",\"tc_us\":" + fmtDouble(c.tc_us);
-    o += '}';
-    return o;
+    return json::Object()
+        .raw("alu_us", json::exact(c.alu_us))
+        .raw("dram_us", json::exact(c.dram_us))
+        .raw("l2_us", json::exact(c.l2_us))
+        .raw("serial_us", json::exact(c.serial_us))
+        .raw("simt_us", json::exact(c.simt_us))
+        .raw("smem_us", json::exact(c.smem_us))
+        .raw("tc_us", json::exact(c.tc_us))
+        .str();
 }
 
 std::string
 latencyJson(const sim::LatencyBreakdown &l)
 {
-    std::string o = "{";
-    o += "\"alu_us\":" + fmtDouble(l.alu_us);
-    o += ",\"blocks\":" + std::to_string(l.blocks);
-    o += ",\"dram_us\":" + fmtDouble(l.dram_us);
-    o += ",\"l2_us\":" + fmtDouble(l.l2_us);
-    o += ",\"launch_us\":" + fmtDouble(l.launch_us);
-    o += ",\"occupancy_blocks_per_sm\":" +
-         fmtDouble(l.occupancy_blocks_per_sm);
-    o += ",\"pipelined\":";
-    o += l.pipelined ? "true" : "false";
-    o += ",\"serial_us\":" + fmtDouble(l.serial_us);
-    o += ",\"simt_us\":" + fmtDouble(l.simt_us);
-    o += ",\"smem_us\":" + fmtDouble(l.smem_us);
-    o += ",\"tc_us\":" + fmtDouble(l.tc_us);
-    o += ",\"total_us\":" + fmtDouble(l.total_us);
-    o += '}';
-    return o;
-}
-
-std::string
-quoted(const std::string &s)
-{
-    return "\"" + jsonEscape(s) + "\"";
+    return json::Object()
+        .raw("alu_us", json::exact(l.alu_us))
+        .add("blocks", l.blocks)
+        .raw("dram_us", json::exact(l.dram_us))
+        .raw("l2_us", json::exact(l.l2_us))
+        .raw("launch_us", json::exact(l.launch_us))
+        .raw("occupancy_blocks_per_sm",
+             json::exact(l.occupancy_blocks_per_sm))
+        .add("pipelined", l.pipelined)
+        .raw("serial_us", json::exact(l.serial_us))
+        .raw("simt_us", json::exact(l.simt_us))
+        .raw("smem_us", json::exact(l.smem_us))
+        .raw("tc_us", json::exact(l.tc_us))
+        .raw("total_us", json::exact(l.total_us))
+        .str();
 }
 
 } // namespace
@@ -235,46 +202,41 @@ classifyBound(const sim::LatencyBreakdown &breakdown)
 std::string
 KernelProfile::toJson() const
 {
-    std::string o = "{";
-    o += "\"arith_intensity\":" + fmtDouble(arith_intensity);
-    o += ",\"blocks_profiled\":" + std::to_string(blocks_profiled);
-    o += ",\"bound\":" + quoted(boundName(bound));
-    o += ",\"engine\":" + quoted(engine);
-    o += ",\"instructions\":[";
-    for (size_t i = 0; i < instructions.size(); ++i) {
-        const InstrProfile &instr = instructions[i];
-        if (i)
-            o += ',';
-        o += "{\"components\":" + componentsJson(instr.components);
-        o += ",\"counters\":" + countersJson(instr.counters);
-        o += ",\"est_us\":" + fmtDouble(instr.estUs());
-        o += ",\"executions\":" + std::to_string(instr.executions);
-        o += ",\"id\":" + std::to_string(instr.id);
-        o += ",\"opcode\":" + quoted(instr.opcode);
-        o += ",\"region\":" + quoted(regionName(instr.region));
-        o += '}';
-    }
-    o += "],\"kernel\":" + quoted(kernel);
-    o += ",\"latency\":" + latencyJson(latency);
-    o += ",\"memory_bound\":";
-    o += memory_bound ? "true" : "false";
-    o += ",\"regions\":[";
-    for (int r = 0; r < kNumRegions; ++r) {
-        const RegionProfile &reg = regions[static_cast<size_t>(r)];
-        if (r)
-            o += ',';
-        o += "{\"bound\":" + quoted(boundName(reg.bound));
-        o += ",\"components\":" + componentsJson(reg.components);
-        o += ",\"counters\":" + countersJson(reg.counters);
-        o += ",\"executions\":" + std::to_string(reg.executions);
-        o += ",\"instructions\":" + std::to_string(reg.instructions);
-        o += ",\"region\":" + quoted(regionName(reg.region));
-        o += '}';
-    }
-    o += "],\"ridge_flops_per_byte\":" + fmtDouble(ridge_flops_per_byte);
-    o += ",\"totals\":" + countersJson(totals);
-    o += '}';
-    return o;
+    std::vector<std::string> instrs;
+    for (const InstrProfile &instr : instructions)
+        instrs.push_back(json::Object()
+                             .raw("components",
+                                  componentsJson(instr.components))
+                             .raw("counters", countersJson(instr.counters))
+                             .raw("est_us", json::exact(instr.estUs()))
+                             .add("executions", instr.executions)
+                             .add("id", int64_t{instr.id})
+                             .add("opcode", instr.opcode)
+                             .add("region", regionName(instr.region))
+                             .str());
+    std::vector<std::string> regs;
+    for (const RegionProfile &reg : regions)
+        regs.push_back(json::Object()
+                           .add("bound", boundName(reg.bound))
+                           .raw("components", componentsJson(reg.components))
+                           .raw("counters", countersJson(reg.counters))
+                           .add("executions", reg.executions)
+                           .add("instructions", reg.instructions)
+                           .add("region", regionName(reg.region))
+                           .str());
+    return json::Object()
+        .raw("arith_intensity", json::exact(arith_intensity))
+        .add("blocks_profiled", blocks_profiled)
+        .add("bound", boundName(bound))
+        .add("engine", engine)
+        .raw("instructions", "[" + join(instrs, ",") + "]")
+        .add("kernel", kernel)
+        .raw("latency", latencyJson(latency))
+        .add("memory_bound", memory_bound)
+        .raw("regions", "[" + join(regs, ",") + "]")
+        .raw("ridge_flops_per_byte", json::exact(ridge_flops_per_byte))
+        .raw("totals", countersJson(totals))
+        .str();
 }
 
 // ------------------------------------------------------------------
@@ -443,28 +405,17 @@ ProfileCollector::finish(const sim::SimStats &block_stats,
 // ProfileSink
 // ------------------------------------------------------------------
 
-namespace {
-
-void
-atexitFlushProfiles()
-{
-    ProfileSink::instance().flush();
-}
-
-} // namespace
-
 ProfileSink &
 ProfileSink::instance()
 {
-    // Leaked on purpose: the atexit flush (and late launches from
-    // static destructors) must outlive ordinary static teardown.
+    // Leaked on purpose: the exit flush (and late launches from static
+    // destructors) must outlive ordinary static teardown.
     static ProfileSink *sink = [] {
         auto *s = new ProfileSink();
-        if (const char *path = std::getenv("TILUS_PROFILE");
-            path && *path) {
+        const std::string path = armExitSink(
+            "TILUS_PROFILE", [] { ProfileSink::instance().flush(); });
+        if (!path.empty())
             s->enable(path);
-            std::atexit(atexitFlushProfiles);
-        }
         return s;
     }();
     return *sink;
@@ -503,19 +454,15 @@ std::string
 ProfileSink::document() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::string o = "{";
-    o += "\"build_info\":" + buildInfoJson();
-    o += ",\"profiles\":[";
-    bool first = true;
-    for (const auto &[name, profile] : profiles_) {
-        if (!first)
-            o += ',';
-        first = false;
-        o += profile.toJson();
-    }
-    o += "],\"schema\":\"tilus-profile-v1\"}";
-    o += '\n';
-    return o;
+    std::vector<std::string> docs;
+    for (const auto &[name, profile] : profiles_)
+        docs.push_back(profile.toJson());
+    return json::Object()
+               .raw("build_info", buildInfoJson())
+               .raw("profiles", "[" + join(docs, ",") + "]")
+               .add("schema", "tilus-profile-v1")
+               .str() +
+           "\n";
 }
 
 bool
@@ -526,15 +473,7 @@ ProfileSink::flush()
         std::lock_guard<std::mutex> lock(mutex_);
         path = path_;
     }
-    if (path.empty())
-        return false;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        warn("cannot write profile document to " + path);
-        return false;
-    }
-    out << document();
-    return static_cast<bool>(out);
+    return !path.empty() && writeSink("TILUS_PROFILE", path, document());
 }
 
 int64_t

@@ -258,8 +258,8 @@ class ProfileCollector
  * Process-wide sink armed by TILUS_PROFILE=<path>: keeps the last
  * KernelProfile per kernel name and writes one JSON document
  * ({"schema": "tilus-profile-v1", build_info, profiles sorted by
- * kernel name}) at process exit. Same arming/flushing pattern as
- * obs::Tracer / obs::Registry.
+ * kernel name}) at process exit through the exit sink obs::Tracer and
+ * obs::Registry share (obs/sink.h).
  */
 class ProfileSink
 {

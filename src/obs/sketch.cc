@@ -2,27 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
 #include "support/error.h"
+#include "support/json.h"
+#include "support/string_util.h"
 
 namespace tilus {
 namespace obs {
-
-namespace {
-
-std::string
-fmtExact(double v)
-{
-    // Round-trip exact so shard-merged and pooled sketches with
-    // fp-identical state serialize byte-identically.
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
 
 QuantileSketch::QuantileSketch(double relative_accuracy)
     : alpha_(relative_accuracy)
@@ -154,23 +140,21 @@ QuantileSketch::nonEmptyBuckets() const
 std::string
 QuantileSketch::toJson() const
 {
-    std::ostringstream oss;
-    oss << "{\"alpha\":" << fmtExact(alpha_) << ",\"count\":" << count_
-        << ",\"zero_count\":" << zero_count_
-        << ",\"sum\":" << fmtExact(sum_)
-        << ",\"min\":" << fmtExact(min())
-        << ",\"max\":" << fmtExact(max()) << ",\"buckets\":[";
-    bool first = true;
-    for (size_t i = 0; i < counts_.size(); ++i) {
-        if (counts_[i] == 0)
-            continue;
-        oss << (first ? "" : ",") << "["
-            << base_ + static_cast<int64_t>(i) << "," << counts_[i]
-            << "]";
-        first = false;
-    }
-    oss << "]}";
-    return oss.str();
+    std::vector<std::string> buckets;
+    for (size_t i = 0; i < counts_.size(); ++i)
+        if (counts_[i] != 0)
+            buckets.push_back(
+                "[" + std::to_string(base_ + static_cast<int64_t>(i)) +
+                "," + std::to_string(counts_[i]) + "]");
+    return json::Object()
+        .raw("alpha", json::exact(alpha_))
+        .add("count", count_)
+        .add("zero_count", zero_count_)
+        .raw("sum", json::exact(sum_))
+        .raw("min", json::exact(min()))
+        .raw("max", json::exact(max()))
+        .raw("buckets", "[" + join(buckets, ",") + "]")
+        .str();
 }
 
 } // namespace obs

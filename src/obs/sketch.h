@@ -84,9 +84,9 @@ class QuantileSketch
     /**
      * Deterministic JSON: {"alpha":..,"count":..,"zero_count":..,
      * "sum":..,"min":..,"max":..,"buckets":[[index,count],...]} with
-     * buckets ascending and doubles rendered round-trip exact (%.17g)
-     * — two sketches over the same sample multiset (in any shard
-     * split with fp-exact partial sums) serialize byte-identically.
+     * buckets ascending and doubles via json::exact (round-trip) —
+     * two sketches over the same sample multiset (in any shard split
+     * with fp-exact partial sums) serialize byte-identically.
      */
     std::string toJson() const;
 

@@ -2,26 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
 #include "obs/trace.h"
 #include "support/error.h"
+#include "support/json.h"
 
 namespace tilus {
 namespace obs {
-
-namespace {
-
-std::string
-fmtNum(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-} // namespace
 
 TimeSeries::TimeSeries(double window_ms) : window_ms_(window_ms)
 {
@@ -179,22 +166,20 @@ TimeSeries::merge(const TimeSeries &other)
 std::string
 TimeSeries::toJson() const
 {
-    std::ostringstream oss;
-    if (!enabled()) {
-        oss << "{\"window_ms\":0,\"windows\":0}";
-        return oss.str();
-    }
+    // Disabled: window_ms 0, no windows and no channels. Values are
+    // appended in place rather than joined: a 10^5-request run has tens
+    // of thousands of windows per channel.
     const int64_t n = windows();
-    oss << "{\"window_ms\":" << fmtNum(window_ms_)
-        << ",\"windows\":" << n;
+    json::Object o;
+    o.add("window_ms", window_ms_).add("windows", n);
     for (int ch = 0; ch < channelCount(); ++ch) {
-        oss << ",\"" << names_[static_cast<size_t>(ch)] << "\":[";
+        std::string values = "[";
         for (int64_t w = 0; w < n; ++w)
-            oss << (w ? "," : "") << fmtNum(value(ch, w));
-        oss << "]";
+            values += (w ? "," : "") + json::num(value(ch, w));
+        values += ']';
+        o.raw(names_[static_cast<size_t>(ch)], values);
     }
-    oss << "}";
-    return oss.str();
+    return o.str();
 }
 
 void

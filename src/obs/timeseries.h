@@ -90,8 +90,8 @@ class TimeSeries
     /**
      * Deterministic JSON:
      * {"window_ms":W,"windows":N,"<channel>":[v0,...],...}
-     * with channels in creation order and values via %.6g (matching
-     * ServingReport's number style). Disabled renders
+     * with channels in creation order and values via json::num
+     * (matching ServingReport's number style). Disabled renders
      * {"window_ms":0,"windows":0}.
      */
     std::string toJson() const;

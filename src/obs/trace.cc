@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "obs/build_info.h"
-#include "support/logging.h"
+#include "obs/sink.h"
 
 namespace tilus {
 namespace obs {
@@ -23,6 +20,8 @@ steadyNowNs()
         .count();
 }
 
+// Fixed-point microseconds: the one number format not from
+// support/json.h, pinned by the trace golden.
 std::string
 fmtTs(double ts_us)
 {
@@ -31,10 +30,19 @@ fmtTs(double ts_us)
     return buf;
 }
 
-void
-atexitFlush()
+// The metadata event that names a process or thread track.
+TraceEvent
+metaEvent(int32_t pid, int32_t tid, const char *what,
+          const std::string &label)
 {
-    Tracer::instance().flush();
+    TraceEvent e;
+    e.ph = 'M';
+    e.pid = pid;
+    e.tid = tid;
+    e.cat = "__metadata";
+    e.name = what;
+    e.args_json = json::Object().add("name", label).str();
+    return e;
 }
 
 // Per-thread slot into the tracer's buffer table. The epoch check
@@ -50,96 +58,6 @@ thread_local ThreadSlot t_slot;
 
 } // namespace
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-// ----------------------------------------------------------------- Args
-
-Args &
-Args::add(const char *key, const std::string &value)
-{
-    if (!body_.empty())
-        body_ += ',';
-    body_ += '"';
-    body_ += jsonEscape(key);
-    body_ += "\":\"";
-    body_ += jsonEscape(value);
-    body_ += '"';
-    return *this;
-}
-
-Args &
-Args::add(const char *key, const char *value)
-{
-    return add(key, std::string(value));
-}
-
-Args &
-Args::add(const char *key, int64_t value)
-{
-    if (!body_.empty())
-        body_ += ',';
-    body_ += '"';
-    body_ += jsonEscape(key);
-    body_ += "\":";
-    body_ += std::to_string(value);
-    return *this;
-}
-
-Args &
-Args::add(const char *key, double value)
-{
-    if (!body_.empty())
-        body_ += ',';
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    body_ += '"';
-    body_ += jsonEscape(key);
-    body_ += "\":";
-    body_ += buf;
-    return *this;
-}
-
-Args &
-Args::add(const char *key, bool value)
-{
-    if (!body_.empty())
-        body_ += ',';
-    body_ += '"';
-    body_ += jsonEscape(key);
-    body_ += "\":";
-    body_ += value ? "true" : "false";
-    return *this;
-}
-
-std::string
-Args::render() const
-{
-    return "{" + body_ + "}";
-}
-
 // --------------------------------------------------------------- Tracer
 
 Tracer &
@@ -149,10 +67,10 @@ Tracer::instance()
     // destructors) must never race tracer destruction.
     static Tracer *tracer = [] {
         Tracer *t = new Tracer();
-        if (const char *path = std::getenv("TILUS_TRACE"); path && *path) {
+        const std::string path = armExitSink(
+            "TILUS_TRACE", [] { Tracer::instance().flush(); });
+        if (!path.empty())
             t->enable(path);
-            std::atexit(atexitFlush);
-        }
         return t;
     }();
     return *tracer;
@@ -172,15 +90,8 @@ Tracer::enable(const std::string &path)
     epoch_.fetch_add(1, std::memory_order_release);
     enabled_.store(true, std::memory_order_release);
 
-    TraceEvent proc;
-    proc.ph = 'M';
-    proc.pid = 1;
-    proc.tid = 0;
-    proc.ts_us = 0;
-    proc.cat = "__metadata";
-    proc.name = "process_name";
-    proc.args_json = Args().add("name", "tilus (wall clock)").render();
-    meta_events_.push_back(std::move(proc));
+    meta_events_.push_back(
+        metaEvent(1, 0, "process_name", "tilus (wall clock)"));
 }
 
 void
@@ -232,16 +143,8 @@ Tracer::threadBuffer()
     ThreadBuffer *raw = buffer.get();
     buffers_.push_back(std::move(buffer));
 
-    TraceEvent meta;
-    meta.ph = 'M';
-    meta.pid = 1;
-    meta.tid = raw->tid;
-    meta.ts_us = 0;
-    meta.cat = "__metadata";
-    meta.name = "thread_name";
-    meta.args_json =
-        Args().add("name", "thread " + std::to_string(raw->tid)).render();
-    meta_events_.push_back(std::move(meta));
+    meta_events_.push_back(metaEvent(1, raw->tid, "thread_name",
+                                     "thread " + std::to_string(raw->tid)));
 
     t_slot.epoch = epoch_.load(std::memory_order_relaxed);
     t_slot.buffer = raw;
@@ -268,13 +171,6 @@ Tracer::emit(TraceEvent event)
 }
 
 void
-Tracer::emitMeta(TraceEvent event)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    meta_events_.push_back(std::move(event));
-}
-
-void
 Tracer::begin(const char *cat, const std::string &name)
 {
     if (!enabled())
@@ -289,7 +185,8 @@ Tracer::begin(const char *cat, const std::string &name)
 }
 
 void
-Tracer::end(const char *cat, const std::string &name, const Args &args)
+Tracer::end(const char *cat, const std::string &name,
+            const json::Object &args)
 {
     if (!enabled())
         return;
@@ -300,12 +197,13 @@ Tracer::end(const char *cat, const std::string &name, const Args &args)
     e.cat = cat;
     e.name = name;
     if (!args.empty())
-        e.args_json = args.render();
+        e.args_json = args.str();
     emit(std::move(e));
 }
 
 void
-Tracer::instant(const char *cat, const std::string &name, const Args &args)
+Tracer::instant(const char *cat, const std::string &name,
+                const json::Object &args)
 {
     if (!enabled())
         return;
@@ -316,7 +214,7 @@ Tracer::instant(const char *cat, const std::string &name, const Args &args)
     e.cat = cat;
     e.name = name;
     if (!args.empty())
-        e.args_json = args.render();
+        e.args_json = args.str();
     emit(std::move(e));
 }
 
@@ -326,22 +224,15 @@ Tracer::virtualProcess(const std::string &name)
     if (!enabled())
         return 0;
     const int pid = next_virtual_pid_.fetch_add(1, std::memory_order_relaxed);
-    TraceEvent meta;
-    meta.ph = 'M';
-    meta.pid = pid;
-    meta.tid = 0;
-    meta.ts_us = 0;
-    meta.cat = "__metadata";
-    meta.name = "process_name";
-    meta.args_json =
-        Args().add("name", name + " (virtual clock)").render();
-    emitMeta(std::move(meta));
+    std::lock_guard<std::mutex> lock(mutex_);
+    meta_events_.push_back(
+        metaEvent(pid, 0, "process_name", name + " (virtual clock)"));
     return pid;
 }
 
 void
 Tracer::virtualBegin(int pid, const char *cat, const std::string &name,
-                     double ts_ms, const Args &args)
+                     double ts_ms, const json::Object &args)
 {
     TraceEvent e;
     e.ph = 'B';
@@ -351,13 +242,13 @@ Tracer::virtualBegin(int pid, const char *cat, const std::string &name,
     e.cat = cat;
     e.name = name;
     if (!args.empty())
-        e.args_json = args.render();
+        e.args_json = args.str();
     emit(std::move(e));
 }
 
 void
 Tracer::virtualEnd(int pid, const char *cat, const std::string &name,
-                   double ts_ms, const Args &args)
+                   double ts_ms, const json::Object &args)
 {
     TraceEvent e;
     e.ph = 'E';
@@ -367,7 +258,7 @@ Tracer::virtualEnd(int pid, const char *cat, const std::string &name,
     e.cat = cat;
     e.name = name;
     if (!args.empty())
-        e.args_json = args.render();
+        e.args_json = args.str();
     emit(std::move(e));
 }
 
@@ -389,7 +280,7 @@ Tracer::virtualCounter(int pid, const char *cat, const std::string &name,
     e.ts_us = ts_ms * 1000.0;
     e.cat = cat;
     e.name = name;
-    e.args_json = Args().add("value", value).render();
+    e.args_json = json::Object().add("value", value).str();
     emit(std::move(e));
 }
 
@@ -470,18 +361,21 @@ namespace {
 // Event JSON with keys in alphabetical order: args, cat, id, name, ph,
 // pid, tid, ts. "args" is omitted when empty, "id" only on async
 // phases. Pinned by the golden schema test.
-void
-renderEvent(std::ostringstream &oss, const TraceEvent &e)
+std::string
+renderEvent(const TraceEvent &e)
 {
-    oss << '{';
+    json::Object o;
     if (!e.args_json.empty())
-        oss << "\"args\":" << e.args_json << ',';
-    oss << "\"cat\":\"" << jsonEscape(e.cat) << "\",";
+        o.raw("args", e.args_json);
+    o.add("cat", e.cat);
     if (e.ph == 'b' || e.ph == 'n' || e.ph == 'e')
-        oss << "\"id\":\"" << e.id << "\",";
-    oss << "\"name\":\"" << jsonEscape(e.name) << "\",\"ph\":\"" << e.ph
-        << "\",\"pid\":" << e.pid << ",\"tid\":" << e.tid
-        << ",\"ts\":" << fmtTs(e.ts_us) << '}';
+        o.add("id", std::to_string(e.id));
+    return o.add("name", e.name)
+        .add("ph", std::string(1, e.ph))
+        .add("pid", int64_t{e.pid})
+        .add("tid", int64_t{e.tid})
+        .raw("ts", fmtTs(e.ts_us))
+        .str();
 }
 
 } // namespace
@@ -491,7 +385,10 @@ Tracer::document() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
 
+    // Metadata events first, then every buffered event.
     std::vector<const TraceEvent *> events;
+    for (const auto &meta : meta_events_)
+        events.push_back(&meta);
     int64_t dropped = 0;
     for (const auto &buffer : buffers_) {
         dropped += buffer->dropped;
@@ -500,7 +397,9 @@ Tracer::document() const
     }
     // Stable sort keeps emission order for equal timestamps, which is
     // what preserves B-before-E for zero-length spans.
-    std::stable_sort(events.begin(), events.end(),
+    std::stable_sort(events.begin() + static_cast<std::ptrdiff_t>(
+                                          meta_events_.size()),
+                     events.end(),
                      [](const TraceEvent *a, const TraceEvent *b) {
                          if (a->pid != b->pid)
                              return a->pid < b->pid;
@@ -509,35 +408,19 @@ Tracer::document() const
                          return a->ts_us < b->ts_us;
                      });
 
-    std::ostringstream oss;
-    oss << "{\"displayTimeUnit\":\"ms\",\"otherData\":{";
-    bool first = true;
-    for (const auto &[key, value] : metadata_) {
-        oss << (first ? "" : ",") << '"' << jsonEscape(key) << "\":\""
-            << jsonEscape(value) << '"';
-        first = false;
-    }
+    json::Object other;
+    for (const auto &[key, value] : metadata_)
+        other.add(key, value);
     if (dropped > 0)
-        oss << (first ? "" : ",") << "\"dropped_events\":\"" << dropped
-            << '"';
-    oss << "},\"traceEvents\":[";
-    first = true;
-    for (const auto &meta : meta_events_) {
-        if (!first)
-            oss << ',';
-        oss << '\n';
-        renderEvent(oss, meta);
-        first = false;
-    }
-    for (const TraceEvent *e : events) {
-        if (!first)
-            oss << ',';
-        oss << '\n';
-        renderEvent(oss, *e);
-        first = false;
-    }
-    oss << "\n]}\n";
-    return oss.str();
+        other.add("dropped_events", std::to_string(dropped));
+    // Keys in sorted order. The events, one per line, are appended in
+    // place rather than joined: a large trace holds millions of them.
+    std::string doc = "{\"displayTimeUnit\":\"ms\",\"otherData\":" +
+                      other.str() + ",\"traceEvents\":[";
+    for (size_t i = 0; i < events.size(); ++i)
+        doc += (i ? ",\n" : "\n") + renderEvent(*events[i]);
+    doc += "\n]}\n";
+    return doc;
 }
 
 bool
@@ -548,16 +431,7 @@ Tracer::flush()
         std::lock_guard<std::mutex> lock(mutex_);
         path = path_;
     }
-    if (path.empty())
-        return false;
-    std::ofstream out(path);
-    out << document();
-    out.flush();
-    if (!out) {
-        warn(std::string("TILUS_TRACE: cannot write ") + path);
-        return false;
-    }
-    return true;
+    return !path.empty() && writeSink("TILUS_TRACE", path, document());
 }
 
 // ----------------------------------------------------------------- Span

@@ -41,30 +41,10 @@
 #include <string>
 #include <vector>
 
+#include "support/json.h"
+
 namespace tilus {
 namespace obs {
-
-/** Escape a string for a JSON string literal (no surrounding quotes). */
-std::string jsonEscape(const std::string &s);
-
-/** A small builder for a trace event's "args" object. */
-class Args
-{
-  public:
-    Args &add(const char *key, const std::string &value);
-    Args &add(const char *key, const char *value);
-    Args &add(const char *key, int64_t value);
-    Args &add(const char *key, double value);
-    Args &add(const char *key, bool value);
-
-    bool empty() const { return body_.empty(); }
-
-    /** Rendered JSON object ("{}" when empty). */
-    std::string render() const;
-
-  private:
-    std::string body_;
-};
 
 /** One trace event; normally built via Tracer/Span helpers. */
 struct TraceEvent
@@ -123,11 +103,12 @@ class Tracer
 
     // ---------------------------------------------- wall-clock helpers
     void begin(const char *cat, const std::string &name);
-    void end(const char *cat, const std::string &name, const Args &args);
+    void end(const char *cat, const std::string &name,
+             const json::Object &args);
     /** Wall-clock instant event (ph 'i', thread scope) — marks a point
         occurrence such as a fault injection; carries @p args. */
     void instant(const char *cat, const std::string &name,
-                 const Args &args = {});
+                 const json::Object &args = {});
 
     // ------------------------------------------- virtual-clock helpers
     /**
@@ -139,9 +120,9 @@ class Tracer
     int virtualProcess(const std::string &name);
 
     void virtualBegin(int pid, const char *cat, const std::string &name,
-                      double ts_ms, const Args &args = {});
+                      double ts_ms, const json::Object &args = {});
     void virtualEnd(int pid, const char *cat, const std::string &name,
-                    double ts_ms, const Args &args = {});
+                    double ts_ms, const json::Object &args = {});
     void virtualCounter(int pid, const std::string &name, double ts_ms,
                         double value);
     /** Counter sample on an explicit category (e.g. "series" for the
@@ -172,7 +153,6 @@ class Tracer
     };
 
     ThreadBuffer *threadBuffer();
-    void emitMeta(TraceEvent event);
 
     std::atomic<bool> enabled_{false};
     std::atomic<uint64_t> epoch_{0};
@@ -205,40 +185,10 @@ class Span
     /** True when the span records events (tracer was enabled). */
     bool live() const { return live_; }
 
+    /** Add an arg to the E event (no-op when not live). */
+    template <typename T>
     Span &
-    arg(const char *key, const std::string &value)
-    {
-        if (live_)
-            args_.add(key, value);
-        return *this;
-    }
-
-    Span &
-    arg(const char *key, const char *value)
-    {
-        if (live_)
-            args_.add(key, value);
-        return *this;
-    }
-
-    Span &
-    arg(const char *key, int64_t value)
-    {
-        if (live_)
-            args_.add(key, value);
-        return *this;
-    }
-
-    Span &
-    arg(const char *key, double value)
-    {
-        if (live_)
-            args_.add(key, value);
-        return *this;
-    }
-
-    Span &
-    arg(const char *key, bool value)
+    arg(const char *key, const T &value)
     {
         if (live_)
             args_.add(key, value);
@@ -249,7 +199,7 @@ class Span
     bool live_;
     const char *cat_ = "";
     std::string name_;
-    Args args_;
+    json::Object args_;
 };
 
 } // namespace obs

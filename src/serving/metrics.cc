@@ -2,8 +2,9 @@
 
 #include <algorithm>
 
-#include "obs/trace.h"
 #include "support/error.h"
+#include "support/json.h"
+#include "support/string_util.h"
 
 namespace tilus {
 namespace serving {
@@ -108,47 +109,58 @@ ServingReport::merge(const ServingReport &other)
 std::string
 ServingReport::toJson() const
 {
-    std::ostringstream oss;
-    oss << "{\"scheduler\":\"" << obs::jsonEscape(scheduler)
-        << "\",\"system\":\"" << obs::jsonEscape(system)
-        << "\",\"model\":\"" << obs::jsonEscape(model)
-        << "\",\"wdtype\":\"" << obs::jsonEscape(wdtype)
-        << "\",\"rate_rps\":" << detail::jsonNum(rate_rps)
-        << ",\"seed\":" << seed << ",\"total_requests\":" << total_requests
-        << ",\"completed\":" << completed << ",\"rejected\":" << rejected
-        << ",\"failed\":" << failed << ",\"retries\":" << retries
-        << ",\"injected_faults\":" << injected_faults
-        << ",\"met_slo\":" << met_slo
-        << ",\"prompt_tokens\":" << prompt_tokens
-        << ",\"output_tokens\":" << output_tokens
-        << ",\"prefill_steps\":" << prefill_steps
-        << ",\"decode_steps\":" << decode_steps
-        << ",\"preemptions\":" << preemptions
-        << ",\"makespan_ms\":" << detail::jsonNum(makespan_ms)
-        << ",\"throughput_tok_s\":" << detail::jsonNum(throughput_tok_s)
-        << ",\"request_per_s\":" << detail::jsonNum(request_per_s)
-        << ",\"goodput_req_s\":" << detail::jsonNum(goodput_req_s)
-        << ",\"availability\":" << detail::jsonNum(availability) << ",";
-    detail::appendSummary(oss, "ttft_ms", ttft);
-    oss << ",";
-    detail::appendSummary(oss, "tpot_ms", tpot);
-    oss << ",";
-    detail::appendSummary(oss, "latency_ms", latency);
-    oss << ",";
-    detail::appendSummary(oss, "queue_wait_ms", queue_wait);
-    oss << ",\"mean_queue_depth\":" << detail::jsonNum(mean_queue_depth)
-        << ",\"max_queue_depth\":" << max_queue_depth
-        << ",\"mean_decode_batch\":" << detail::jsonNum(mean_decode_batch)
-        << ",\"kv_page_tokens\":" << kv_page_tokens
-        << ",\"kv_capacity_tokens\":" << kv_capacity_tokens
-        << ",\"mean_kv_used_tokens\":" << detail::jsonNum(mean_kv_used_tokens)
-        << ",\"peak_kv_used_tokens\":" << peak_kv_used_tokens
-        << ",\"mean_kv_used_frac\":" << detail::jsonNum(mean_kv_used_frac)
-        << ",\"batch_histogram\":[";
-    for (size_t i = 0; i < batch_histogram.size(); ++i)
-        oss << (i ? "," : "") << batch_histogram[i];
-    oss << "],\"series\":" << series.toJson() << "}";
-    return oss.str();
+    auto summary = [](const LatencySummary &s) {
+        return json::Object()
+            .add("mean", s.mean)
+            .add("p50", s.p50)
+            .add("p95", s.p95)
+            .add("p99", s.p99)
+            .str();
+    };
+    std::vector<std::string> histogram;
+    for (int64_t n : batch_histogram)
+        histogram.push_back(std::to_string(n));
+    json::Object o;
+    o.add("scheduler", scheduler)
+        .add("system", system)
+        .add("model", model)
+        .add("wdtype", wdtype)
+        .add("rate_rps", rate_rps)
+        .add("seed", seed)
+        .add("total_requests", total_requests)
+        .add("completed", completed)
+        .add("rejected", rejected)
+        .add("failed", failed)
+        .add("retries", retries)
+        .add("injected_faults", injected_faults)
+        .add("met_slo", met_slo)
+        .add("prompt_tokens", prompt_tokens)
+        .add("output_tokens", output_tokens)
+        .add("prefill_steps", prefill_steps)
+        .add("decode_steps", decode_steps)
+        .add("preemptions", preemptions)
+        .add("makespan_ms", makespan_ms)
+        .add("throughput_tok_s", throughput_tok_s)
+        .add("request_per_s", request_per_s)
+        .add("goodput_req_s", goodput_req_s)
+        .add("availability", availability)
+        .raw("ttft_ms", summary(ttft))
+        .raw("tpot_ms", summary(tpot))
+        .raw("latency_ms", summary(latency))
+        .raw("queue_wait_ms", summary(queue_wait))
+        .add("mean_queue_depth", mean_queue_depth)
+        .add("max_queue_depth", max_queue_depth)
+        .add("mean_decode_batch", mean_decode_batch)
+        .add("kv_page_tokens", kv_page_tokens)
+        .add("kv_capacity_tokens", kv_capacity_tokens)
+        .add("mean_kv_used_tokens", mean_kv_used_tokens)
+        .add("peak_kv_used_tokens", peak_kv_used_tokens)
+        .add("mean_kv_used_frac", mean_kv_used_frac)
+        .raw("batch_histogram", "[" + join(histogram, ",") + "]");
+    // Its own statement, so the long series string is freed before
+    // str() copies the body.
+    o.raw("series", series.toJson());
+    return o.str();
 }
 
 MetricTracker::MetricTracker(double sketch_accuracy,

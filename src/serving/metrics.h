@@ -19,8 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -162,27 +160,6 @@ struct ServingReport
 
     std::string toJson() const;
 };
-
-namespace detail {
-
-inline std::string
-jsonNum(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-inline void
-appendSummary(std::ostringstream &oss, const char *key,
-              const LatencySummary &s)
-{
-    oss << "\"" << key << "\":{\"mean\":" << jsonNum(s.mean)
-        << ",\"p50\":" << jsonNum(s.p50) << ",\"p95\":" << jsonNum(s.p95)
-        << ",\"p99\":" << jsonNum(s.p99) << "}";
-}
-
-} // namespace detail
 
 /**
  * The incremental metric accumulator the simulator event loop feeds:

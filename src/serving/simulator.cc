@@ -480,7 +480,7 @@ Simulator::run(const Trace &trace)
             ++report.prefill_steps;
             if (tracing) {
                 tracer.virtualBegin(vpid, "serving", "prefill", now,
-                                    obs::Args()
+                                    json::Object()
                                         .add("request", state.request.id)
                                         .add("tokens", chunk.tokens)
                                         .add("past",
@@ -527,7 +527,7 @@ Simulator::run(const Trace &trace)
             ++report.decode_steps;
             if (tracing) {
                 tracer.virtualBegin(vpid, "serving", "decode", now,
-                                    obs::Args().add("batch", batch));
+                                    json::Object().add("batch", batch));
                 tracer.virtualEnd(vpid, "serving", "decode",
                                   now + step_ms);
             }

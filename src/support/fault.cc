@@ -214,7 +214,7 @@ recordInjectionLocked(State &s, const std::string &site)
     reg.counter("fault_injected_total").add(1);
     reg.counter(siteCounterName(site)).add(1);
     obs::Tracer::instance().instant("fault", site,
-                                    obs::Args().add("site", site));
+                                    json::Object().add("site", site));
 }
 
 } // namespace

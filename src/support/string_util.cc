@@ -1,7 +1,5 @@
 #include "support/string_util.h"
 
-#include <iomanip>
-
 namespace tilus {
 
 std::string
@@ -54,14 +52,6 @@ repeatStr(const std::string &s, int n)
     for (int i = 0; i < n; ++i)
         out += s;
     return out;
-}
-
-std::string
-formatDouble(double value, int decimals)
-{
-    std::ostringstream oss;
-    oss << std::fixed << std::setprecision(decimals) << value;
-    return oss.str();
 }
 
 } // namespace tilus

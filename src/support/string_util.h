@@ -24,7 +24,4 @@ std::string toString(const std::vector<int> &v);
 /** Repeat a string @p n times (used for indentation). */
 std::string repeatStr(const std::string &s, int n);
 
-/** printf-less number formatting with fixed decimals. */
-std::string formatDouble(double value, int decimals);
-
 } // namespace tilus

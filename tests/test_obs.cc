@@ -6,19 +6,26 @@
  * concurrent emission from many threads without losing or corrupting
  * events, disabled mode allocates no buffers and records nothing, and
  * the metrics registry counts correctly under contention and dumps
- * valid JSON / Prometheus text.
+ * valid JSON / Prometheus text. The shared JSON writer prints doubles
+ * in its two formats and escapes keys, and every exit sink reports a
+ * failed write.
  */
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/build_info.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "obs/sketch.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "support/json.h"
 #include "support/percentile.h"
 #include "support/rng.h"
 
@@ -59,7 +66,7 @@ TEST_F(TracerTest, GoldenVirtualTraceIsPinned)
     int pid = tracer.virtualProcess("sim");
     ASSERT_EQ(pid, 2);
     tracer.virtualBegin(pid, "serving", "step", 0.0,
-                        obs::Args().add("batch", int64_t{4}));
+                        json::Object().add("batch", int64_t{4}));
     tracer.asyncBegin(pid, "request", "req 0", 7, 0.5);
     tracer.virtualCounter(pid, "kv_used_tokens", 1.0, 3.0);
     tracer.asyncInstant(pid, "request", "first-token", 7, 1.25);
@@ -323,6 +330,60 @@ TEST(Metrics, ZeroAllForTestKeepsHandles)
     EXPECT_EQ(registry.counterValue("z_total"), 1);
 }
 
+TEST(Metrics, KeysAreEscaped)
+{
+    obs::Registry registry;
+    registry.counter("a\"b\\").add(1);
+    EXPECT_EQ(registry.toJson(),
+              "{\"counters\":{\"a\\\"b\\\\\":1},\"gauges\":{},"
+              "\"histograms\":{}}");
+}
+
+// ----------------------------------------------------------- json writer
+
+TEST(Json, DoublesHaveExactlyTwoFormats)
+{
+    EXPECT_EQ(json::exact(0.1), "0.1");
+    EXPECT_EQ(json::exact(100.0), "100");
+    EXPECT_EQ(json::exact(1e15), "1e+15");
+    EXPECT_EQ(json::exact(NAN), "0");
+    EXPECT_EQ(json::num(1234567.0), "1.23457e+06");
+}
+
+TEST(Json, ObjectQuotesKeysAndPlacesCommas)
+{
+    EXPECT_EQ(json::Object().str(), "{}");
+    EXPECT_EQ(json::Object()
+                  .add("s", "x\ny")
+                  .add("i", int64_t{-3})
+                  .add("u", uint64_t{18446744073709551615u})
+                  .add("d", 0.5)
+                  .add("b", false)
+                  .raw("a", "[1,2]")
+                  .str(),
+              "{\"s\":\"x\\ny\",\"i\":-3,\"u\":18446744073709551615,"
+              "\"d\":0.5,\"b\":false,\"a\":[1,2]}");
+}
+
+// The exit sinks share one write path: each flush reports a full disk
+// instead of claiming success.
+TEST(Sinks, EveryDocumentReportsAFailedWrite)
+{
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full does not exist here";
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.enable("/dev/full");
+    EXPECT_FALSE(tracer.flush());
+    tracer.disable();
+
+    obs::ProfileSink &sink = obs::ProfileSink::instance();
+    sink.enable("/dev/full");
+    EXPECT_FALSE(sink.flush());
+    sink.disable();
+
+    EXPECT_FALSE(obs::Registry().writeFile("/dev/full"));
+}
+
 TEST(BuildInfo, ProvenanceIsStamped)
 {
     EXPECT_STRNE(obs::gitDescribe(), "");
@@ -561,6 +622,17 @@ TEST(TimeSeries, MergeAddsWindowsAndExtends)
     disabled.merge(b);
     EXPECT_TRUE(disabled.enabled());
     EXPECT_EQ(disabled.windows(), 2);
+}
+
+TEST(TimeSeries, ChannelNamesAreEscaped)
+{
+    obs::TimeSeries series(10.0);
+    const int ch =
+        series.channel("a\"b\\", obs::TimeSeries::Kind::kCount);
+    series.add(ch, 1.0, 2);
+    series.finalize(10.0);
+    EXPECT_EQ(series.toJson(),
+              "{\"window_ms\":10,\"windows\":1,\"a\\\"b\\\\\":[2]}");
 }
 
 TEST(TimeSeries, DisabledIsInertAndSerializesEmpty)

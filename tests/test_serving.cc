@@ -17,12 +17,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <utility>
 
-#include "obs/trace.h"
 #include "serving/simulator.h"
 #include "support/fault.h"
+#include "support/json.h"
 #include "support/percentile.h"
 
 namespace tilus {
@@ -873,16 +874,25 @@ TEST(Report, GoldenJsonSchemaIsPinned)
 
 TEST(Report, IdentityStringsUseTheSharedJsonEscaper)
 {
-    // Free-form identity strings go through obs::jsonEscape, the escaper
-    // the trace, profile and build_info documents share.
+    // Free-form identity strings go through json::escape, the escaper
+    // every exported document shares.
     ServingReport report;
     report.scheduler = "a\"b\\c\nd\x01" "e\r";
     const std::string head =
-        "{\"scheduler\":\"" + obs::jsonEscape(report.scheduler) + "\",";
+        "{\"scheduler\":\"" + json::escape(report.scheduler) + "\",";
     EXPECT_EQ(report.toJson().compare(0, head.size(), head), 0)
         << report.toJson();
-    EXPECT_EQ(obs::jsonEscape(report.scheduler),
+    EXPECT_EQ(json::escape(report.scheduler),
               "a\\\"b\\\\c\\nd\\u0001e\\r");
+}
+
+TEST(Report, UnsignedSeedRendersInFull)
+{
+    ServingReport report;
+    report.seed = UINT64_MAX;
+    EXPECT_NE(report.toJson().find(",\"seed\":18446744073709551615,"),
+              std::string::npos)
+        << report.toJson();
 }
 
 /** Assert sketch estimate @p got is within @p tol relative error of
