@@ -6,13 +6,16 @@
  * suite kernel, on both engines, at O0 and O2 — plus
  * instruction-by-instruction cross-engine agreement, the golden
  * stage-1 u4 matmul profile (region segmentation, roofline
- * classification), and the disarmed-mode guarantee that profiling off
- * means byte-identical devices.
+ * classification), region segmentation surviving a kernel-cache round
+ * trip, and the disarmed-mode guarantee that profiling off means
+ * byte-identical devices.
  */
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "autotune/tuner.h"
+#include "cache/serialize.h"
 #include "compiler/compiler.h"
 #include "kernels/elementwise.h"
 #include "kernels/matmul.h"
@@ -247,6 +250,64 @@ TEST(ProfileGolden, MainLoopBoundFlipsFromSerializationToDram)
     EXPECT_EQ(instrs, int64_t(o2.instructions.size()));
     EXPECT_GT(o2.region(obs::Region::kMainLoop).executions,
               o2.region(obs::Region::kPrologue).executions);
+}
+
+// ---------------------------------------------------------------------
+// Region segmentation survives the kernel cache: a deserialized kernel
+// has fresh expression nodes, so its main loop is found by structure.
+// ---------------------------------------------------------------------
+
+TEST(ProfileRegions, CacheRoundTripKeepsEveryInstructionsRegion)
+{
+    int kernels_checked = 0;
+    int with_main_loop = 0;
+    for (int64_t m : {1, 16}) {
+        for (compiler::OptLevel level :
+             {compiler::OptLevel::O0, compiler::OptLevel::O2}) {
+            compiler::CompileOptions options;
+            options.opt_level = level;
+            for (kernels::MatmulConfig cfg : autotune::enumerateConfigs(
+                     tilus::uint4(), /*n=*/4096, /*k=*/3072, m)) {
+                cfg.group_size = 128;
+                if (!cfg.valid())
+                    continue;
+                // The tuner's probes (1 and 2 outer iterations), then
+                // the full-depth kernel.
+                for (int outers : {1, 2, 0}) {
+                    kernels::MatmulConfig c = cfg;
+                    if (outers > 0) {
+                        c.k = cfg.bk * cfg.stages * outers;
+                        c.group_size = c.bk;
+                    }
+                    const std::string what =
+                        c.name() + " k=" + std::to_string(c.k) +
+                        (level == compiler::OptLevel::O0 ? " O0" : " O2");
+                    lir::Kernel fresh = compiler::compile(
+                        kernels::buildMatmul(c).main_program, options);
+                    lir::Kernel loaded = cache::deserializeKernel(
+                        cache::serializeKernel(fresh));
+                    obs::ProfileCollector want(fresh);
+                    obs::ProfileCollector got(loaded);
+                    ASSERT_EQ(got.numInstructions(), want.numInstructions())
+                        << what;
+                    bool main_loop = false;
+                    for (size_t i = 0; i < want.numInstructions(); ++i) {
+                        ASSERT_EQ(got.row(i).opcode, want.row(i).opcode)
+                            << what << " instruction " << i;
+                        ASSERT_EQ(got.row(i).region, want.row(i).region)
+                            << what << " instruction " << i;
+                        main_loop |=
+                            want.row(i).region == obs::Region::kMainLoop;
+                    }
+                    ++kernels_checked;
+                    with_main_loop += main_loop;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(kernels_checked, 720);
+    // Every kernel has a main loop for the match to find.
+    EXPECT_EQ(with_main_loop, kernels_checked);
 }
 
 // ---------------------------------------------------------------------
