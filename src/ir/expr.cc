@@ -1,7 +1,6 @@
 #include "ir/expr.h"
 
 #include <atomic>
-#include <cstring>
 #include <sstream>
 
 #include "support/error.h"
@@ -435,67 +434,43 @@ exprNodeCount(const Expr &expr)
     TILUS_PANIC("unreachable");
 }
 
-namespace {
-
-void
-structuralKeyInto(const Expr &expr, std::ostringstream &oss)
+bool
+structurallyEqual(const Expr &a, const Expr &b)
 {
-    switch (expr->kind()) {
+    if (a.get() == b.get())
+        return true;
+    if (a->hash() != b->hash() || a->kind() != b->kind())
+        return false;
+    switch (a->kind()) {
       case ExprKind::kConst: {
-        const auto &node = static_cast<const ConstNode &>(*expr);
-        if (node.dtype().isFloat()) {
-            // Bit-exact: decimal rendering would collide values that
-            // agree in the first few significant digits (and NaNs).
-            uint64_t bits;
-            static_assert(sizeof(bits) == sizeof(node.fvalue), "");
-            std::memcpy(&bits, &node.fvalue, sizeof(bits));
-            oss << "f" << std::hex << bits << std::dec;
-        } else {
-            oss << "c" << node.ivalue;
-        }
-        return;
+        const auto &x = static_cast<const ConstNode &>(*a);
+        const auto &y = static_cast<const ConstNode &>(*b);
+        return x.dtype().isFloat() == y.dtype().isFloat() &&
+               x.valueBits() == y.valueBits();
       }
       case ExprKind::kVar:
-        oss << "v" << static_cast<const VarNode &>(*expr).id;
-        return;
+        return static_cast<const VarNode &>(*a).id ==
+               static_cast<const VarNode &>(*b).id;
       case ExprKind::kUnary: {
-        const auto &node = static_cast<const UnaryNode &>(*expr);
-        oss << "u" << static_cast<int>(node.op) << "(";
-        structuralKeyInto(node.a, oss);
-        oss << ")";
-        return;
+        const auto &x = static_cast<const UnaryNode &>(*a);
+        const auto &y = static_cast<const UnaryNode &>(*b);
+        return x.op == y.op && structurallyEqual(x.a, y.a);
       }
       case ExprKind::kBinary: {
-        const auto &node = static_cast<const BinaryNode &>(*expr);
-        oss << "b" << static_cast<int>(node.op) << "(";
-        structuralKeyInto(node.a, oss);
-        oss << ",";
-        structuralKeyInto(node.b, oss);
-        oss << ")";
-        return;
+        const auto &x = static_cast<const BinaryNode &>(*a);
+        const auto &y = static_cast<const BinaryNode &>(*b);
+        return x.op == y.op && structurallyEqual(x.a, y.a) &&
+               structurallyEqual(x.b, y.b);
       }
       case ExprKind::kSelect: {
-        const auto &node = static_cast<const SelectNode &>(*expr);
-        oss << "s(";
-        structuralKeyInto(node.cond, oss);
-        oss << ",";
-        structuralKeyInto(node.on_true, oss);
-        oss << ",";
-        structuralKeyInto(node.on_false, oss);
-        oss << ")";
-        return;
+        const auto &x = static_cast<const SelectNode &>(*a);
+        const auto &y = static_cast<const SelectNode &>(*b);
+        return structurallyEqual(x.cond, y.cond) &&
+               structurallyEqual(x.on_true, y.on_true) &&
+               structurallyEqual(x.on_false, y.on_false);
       }
     }
-}
-
-} // namespace
-
-std::string
-structuralKey(const Expr &expr)
-{
-    std::ostringstream oss;
-    structuralKeyInto(expr, oss);
-    return oss.str();
+    TILUS_PANIC("unreachable");
 }
 
 bool

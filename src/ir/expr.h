@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -36,7 +37,47 @@ enum class UnaryOp : uint8_t { kNeg, kBitNot, kNot };
 class ExprNode;
 using Expr = std::shared_ptr<const ExprNode>;
 
-/** Base of all expression nodes. */
+namespace detail {
+
+/** Mixes @p value into the running hash @p seed (order-sensitive). */
+inline uint64_t
+hashMix(uint64_t seed, uint64_t value)
+{
+    uint64_t x =
+        seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdull;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ull;
+    x ^= x >> 33;
+    return x;
+}
+
+/** Per-kind seeds; integer and float constants never compare equal. */
+enum HashSeed : uint64_t
+{
+    kSeedInt = 1,
+    kSeedFloat,
+    kSeedVar,
+    kSeedUnary,
+    kSeedBinary,
+    kSeedSelect,
+};
+
+} // namespace detail
+
+/**
+ * Base of all expression nodes.
+ *
+ * Every node carries a 64-bit structural hash, computed once in its
+ * constructor from its own fields and its children's stored hashes. The
+ * hash covers exactly what structurallyEqual() compares: the node kind,
+ * the operator, the variable id, an integer constant's value and a float
+ * constant's bit pattern. It does not cover dtype: `x + 1` at int32 and
+ * at int64 hash (and compare) equal, while `3` and `3.0` do not. The
+ * hash lives only in memory; it is never serialized and never feeds
+ * cache::fingerprint.
+ */
 class ExprNode
 {
   public:
@@ -44,11 +85,17 @@ class ExprNode
 
     ExprKind kind() const { return kind_; }
     const DataType &dtype() const { return dtype_; }
+    uint64_t hash() const { return hash_; }
 
   protected:
-    ExprNode(ExprKind kind, DataType dtype) : kind_(kind), dtype_(dtype) {}
+    ExprNode(ExprKind kind, DataType dtype, uint64_t hash)
+        : hash_(hash), kind_(kind), dtype_(dtype)
+    {}
 
   private:
+    // The hash comes first so that the derived nodes' fields still pack
+    // into this class's tail padding.
+    uint64_t hash_;
     ExprKind kind_;
     DataType dtype_;
 };
@@ -58,17 +105,46 @@ class ConstNode : public ExprNode
 {
   public:
     ConstNode(int64_t value, DataType dtype)
-        : ExprNode(ExprKind::kConst, dtype), ivalue(value),
-          fvalue(static_cast<double>(value))
+        : ExprNode(ExprKind::kConst, dtype,
+                   valueHash(dtype, value, static_cast<double>(value))),
+          ivalue(value), fvalue(static_cast<double>(value))
     {}
 
     ConstNode(double value, DataType dtype)
-        : ExprNode(ExprKind::kConst, dtype),
+        : ExprNode(ExprKind::kConst, dtype,
+                   valueHash(dtype, static_cast<int64_t>(value), value)),
           ivalue(static_cast<int64_t>(value)), fvalue(value)
     {}
 
     int64_t ivalue;
     double fvalue;
+
+    /** A float-typed constant's fvalue bits, otherwise its ivalue. */
+    uint64_t
+    valueBits() const
+    {
+        return bitsOf(dtype(), ivalue, fvalue);
+    }
+
+  private:
+    static uint64_t
+    bitsOf(const DataType &dtype, int64_t ivalue, double fvalue)
+    {
+        if (!dtype.isFloat())
+            return static_cast<uint64_t>(ivalue);
+        uint64_t bits;
+        static_assert(sizeof(bits) == sizeof(fvalue), "");
+        std::memcpy(&bits, &fvalue, sizeof(bits));
+        return bits;
+    }
+
+    static uint64_t
+    valueHash(const DataType &dtype, int64_t ivalue, double fvalue)
+    {
+        return detail::hashMix(dtype.isFloat() ? detail::kSeedFloat
+                                               : detail::kSeedInt,
+                               bitsOf(dtype, ivalue, fvalue));
+    }
 };
 
 /** A scalar variable: kernel parameter, loop variable, or block index. */
@@ -76,7 +152,10 @@ class VarNode : public ExprNode
 {
   public:
     VarNode(std::string name, DataType dtype, int id)
-        : ExprNode(ExprKind::kVar, dtype), name(std::move(name)), id(id)
+        : ExprNode(ExprKind::kVar, dtype,
+                   detail::hashMix(detail::kSeedVar,
+                                   static_cast<uint64_t>(id))),
+          name(std::move(name)), id(id)
     {}
 
     std::string name;
@@ -87,8 +166,12 @@ class UnaryNode : public ExprNode
 {
   public:
     UnaryNode(UnaryOp op, Expr operand)
-        : ExprNode(ExprKind::kUnary, operand->dtype()), op(op),
-          a(std::move(operand))
+        : ExprNode(ExprKind::kUnary, operand->dtype(),
+                   detail::hashMix(
+                       detail::hashMix(detail::kSeedUnary,
+                                       static_cast<uint64_t>(op)),
+                       operand->hash())),
+          op(op), a(std::move(operand))
     {}
 
     UnaryOp op;
@@ -99,8 +182,14 @@ class BinaryNode : public ExprNode
 {
   public:
     BinaryNode(BinaryOp op, Expr lhs, Expr rhs, DataType dtype)
-        : ExprNode(ExprKind::kBinary, dtype), op(op), a(std::move(lhs)),
-          b(std::move(rhs))
+        : ExprNode(ExprKind::kBinary, dtype,
+                   detail::hashMix(
+                       detail::hashMix(
+                           detail::hashMix(detail::kSeedBinary,
+                                           static_cast<uint64_t>(op)),
+                           lhs->hash()),
+                       rhs->hash())),
+          op(op), a(std::move(lhs)), b(std::move(rhs))
     {}
 
     BinaryOp op;
@@ -112,7 +201,13 @@ class SelectNode : public ExprNode
 {
   public:
     SelectNode(Expr cond, Expr on_true, Expr on_false)
-        : ExprNode(ExprKind::kSelect, on_true->dtype()),
+        : ExprNode(ExprKind::kSelect, on_true->dtype(),
+                   detail::hashMix(
+                       detail::hashMix(
+                           detail::hashMix(detail::kSeedSelect,
+                                           cond->hash()),
+                           on_true->hash()),
+                       on_false->hash())),
           cond(std::move(cond)), on_true(std::move(on_true)),
           on_false(std::move(on_false))
     {}
@@ -319,12 +414,15 @@ void collectVarIds(const Expr &expr, std::vector<int> &out);
 int64_t exprNodeCount(const Expr &expr);
 
 /**
- * Deterministic structural serialization: two expressions have equal
- * keys iff they are structurally identical (same operators, the same
- * variable identities by id, the same constant values). Unlike
- * toString(), distinct variables sharing a display name do not collide.
+ * Structural equality: the same kinds and operators, the same variable
+ * identities by id (distinct variables sharing a display name differ),
+ * equal integer constants, and bit-identical float constants (so +0.0
+ * and -0.0 differ, and a NaN equals only the same payload). Ignores
+ * dtype, like ExprNode::hash(). Returns at once when the nodes are
+ * the same or their hashes differ; otherwise compares recursively.
+ * Compare expressions with this, never with rendered strings.
  */
-std::string structuralKey(const Expr &expr);
+bool structurallyEqual(const Expr &a, const Expr &b);
 
 /**
  * Try to decompose @p expr as `base + v * stride` where neither @p base

@@ -247,14 +247,8 @@ ProfileCollector::ProfileCollector(const lir::Kernel &kernel)
     : kernel_(kernel)
 {
     // Locate the main k-loop: the first top-level-reachable LFor whose
-    // extent is the kernel's main_loop_extent — by node identity when
-    // the kernel came straight from the compiler, by structural key
-    // when it was deserialized from the kernel cache (node identity
-    // does not survive the round trip).
-    std::string main_key;
-    if (kernel.main_loop_extent)
-        main_key = ir::structuralKey(kernel.main_loop_extent);
-
+    // extent is structurally the kernel's main_loop_extent (node
+    // identity does not survive a kernel-cache round trip).
     enum class Phase
     {
         kBefore,
@@ -284,9 +278,8 @@ ProfileCollector::ProfileCollector(const lir::Kernel &kernel)
                     bool is_main =
                         !main_found && phase == Phase::kBefore &&
                         kernel.main_loop_extent &&
-                        (loop->extent.get() ==
-                             kernel.main_loop_extent.get() ||
-                         ir::structuralKey(loop->extent) == main_key);
+                        ir::structurallyEqual(loop->extent,
+                                              kernel.main_loop_extent);
                     if (is_main) {
                         main_found = true;
                         phase = Phase::kInside;

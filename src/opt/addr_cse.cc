@@ -18,7 +18,7 @@
  * arithmetic: evaluating an address subtree early cannot fault (LIR
  * divisions are by nonzero constants), so a zero-trip loop stays safe.
  */
-#include <map>
+#include <unordered_map>
 
 #include "opt/lir_rewrite.h"
 #include "opt/pass.h"
@@ -68,48 +68,116 @@ collectDefinedVars(const LBody &body, std::vector<int> &out)
 }
 
 bool
-isHoistable(const ir::Expr &expr, const Forbidden &forbidden)
+isCompound(const ir::Expr &e)
 {
-    std::vector<int> ids;
-    ir::collectVarIds(expr, ids);
-    for (int id : ids)
-        if (forbidden.contains(id))
-            return false;
-    return true;
+    return e->kind() == ir::ExprKind::kUnary ||
+           e->kind() == ir::ExprKind::kBinary ||
+           e->kind() == ir::ExprKind::kSelect;
 }
 
-/** One hoisting candidate, keyed structurally. */
-struct HoistCandidate
-{
-    ir::Expr expr;
-    int64_t count = 0;
-    int64_t nodes = 0;
-    int64_t first_seen = 0; ///< deterministic ordering
-};
-
 /**
- * Pointer-memoized ir::structuralKey. Serializing whole subtrees at
- * every compound node of every site would be quadratic; expressions
- * are immutable and widely shared, so one serialization per node
- * suffices. Cached expressions are pinned (the Expr is stored next to
- * its key) so a freed node's address can never be recycled into a
- * stale cache hit mid-rewrite.
+ * Hoistability of one loop's subexpressions: no forbidden variable
+ * below. Memoized per node, so each shared subtree is walked once per
+ * loop. Keyed by node address, so it must not outlive the gather: the
+ * rewrite frees nodes, and a recycled address would hit a stale entry.
  */
-class KeyCache
+class Hoistability
 {
   public:
-    const std::string &
-    of(const ir::Expr &e)
+    explicit Hoistability(const Forbidden &forbidden)
+        : forbidden_(forbidden)
+    {}
+
+    bool
+    operator()(const ir::Expr &e)
     {
-        auto [it, inserted] = cache_.try_emplace(e.get());
-        if (inserted)
-            it->second = {e, ir::structuralKey(e)};
-        return it->second.second;
+        switch (e->kind()) {
+          case ir::ExprKind::kConst:
+            return true;
+          case ir::ExprKind::kVar:
+            return !forbidden_.contains(
+                static_cast<const ir::VarNode &>(*e).id);
+          default:
+            break;
+        }
+        auto it = memo_.find(e.get());
+        if (it != memo_.end())
+            return it->second;
+        bool hoistable = true;
+        switch (e->kind()) {
+          case ir::ExprKind::kUnary:
+            hoistable = (*this)(static_cast<const ir::UnaryNode &>(*e).a);
+            break;
+          case ir::ExprKind::kBinary: {
+            const auto &node = static_cast<const ir::BinaryNode &>(*e);
+            hoistable = (*this)(node.a) && (*this)(node.b);
+            break;
+          }
+          case ir::ExprKind::kSelect: {
+            const auto &node = static_cast<const ir::SelectNode &>(*e);
+            hoistable = (*this)(node.cond) && (*this)(node.on_true) &&
+                        (*this)(node.on_false);
+            break;
+          }
+          default:
+            break;
+        }
+        memo_.emplace(e.get(), hoistable);
+        return hoistable;
     }
 
   private:
-    std::map<const ir::ExprNode *, std::pair<ir::Expr, std::string>>
-        cache_;
+    const Forbidden &forbidden_;
+    std::unordered_map<const ir::ExprNode *, bool> memo_;
+};
+
+/** One structurally distinct hoistable subtree of a loop. */
+struct HoistCandidate
+{
+    ir::Expr expr; ///< first occurrence
+    int64_t count = 0;
+    int64_t nodes = 0;
+    ir::Expr temp; ///< the preheader temporary, once selected
+};
+
+/**
+ * A loop's candidates in first-seen order (the order of the preheader
+ * assigns), bucketed by ir::ExprNode::hash();
+ * ir::structurallyEqual resolves collisions.
+ */
+class CandidateTable
+{
+  public:
+    /** The candidate structurally equal to @p e, or null. */
+    HoistCandidate *
+    find(const ir::Expr &e)
+    {
+        auto [lo, hi] = index_.equal_range(e->hash());
+        for (auto it = lo; it != hi; ++it)
+            if (ir::structurallyEqual(entries_[it->second].expr, e))
+                return &entries_[it->second];
+        return nullptr;
+    }
+
+    /** Count one occurrence of @p e, adding it if new. */
+    void
+    add(const ir::Expr &e)
+    {
+        HoistCandidate *cand = find(e);
+        if (!cand) {
+            index_.emplace(e->hash(), entries_.size());
+            cand = &entries_.emplace_back();
+            cand->expr = e;
+            cand->nodes = ir::exprNodeCount(e);
+        }
+        cand->count += 1;
+    }
+
+    std::vector<HoistCandidate> &entries() { return entries_; }
+
+  private:
+    std::vector<HoistCandidate> entries_;
+    std::unordered_multimap<uint64_t, size_t> index_;
 };
 
 class AddressHoist : public Pass
@@ -127,7 +195,6 @@ class AddressHoist : public Pass
         Forbidden base;
         base.ids.push_back(tidVar().id());
         next_temp_ = 0;
-        keys_ = KeyCache();
         return processBody(kernel.body, base);
     }
 
@@ -173,39 +240,35 @@ class AddressHoist : public Pass
         collectDefinedVars(*loop.body, forbidden.ids);
 
         // Gather topmost invariant subtrees over every expression site.
-        std::map<std::string, HoistCandidate> candidates;
-        int64_t order = 0;
-        forEachBodyExpr(*loop.body, [&](ir::Expr &e) {
-            gather(e, forbidden, candidates, order, keys_);
-        });
-
-        // Select and order deterministically by first occurrence.
-        std::vector<const HoistCandidate *> selected;
-        for (const auto &[key, cand] : candidates) {
-            (void)key;
-            if ((cand.count >= 2 && cand.nodes >= 2) || cand.nodes >= 4)
-                selected.push_back(&cand);
+        CandidateTable candidates;
+        {
+            Hoistability hoistable(forbidden);
+            forEachBodyExpr(*loop.body, [&](ir::Expr &e) {
+                gather(e, hoistable, candidates);
+            });
         }
-        if (selected.empty())
-            return 0;
-        std::sort(selected.begin(), selected.end(),
-                  [](const HoistCandidate *a, const HoistCandidate *b) {
-                      return a->first_seen < b->first_seen;
-                  });
 
-        // Create temporaries and the structural rewrite map.
-        std::map<std::string, ir::Expr> rewrite;
+        // Select in first-seen order and create the temporaries.
         LBody assigns;
-        for (const HoistCandidate *cand : selected) {
+        for (HoistCandidate &cand : candidates.entries()) {
+            if (!((cand.count >= 2 && cand.nodes >= 2) || cand.nodes >= 4))
+                continue;
             ir::Var temp = ir::Var::make(
-                "inv" + std::to_string(next_temp_++),
-                cand->expr->dtype());
-            assigns.push_back(LNode{LAssign{temp, cand->expr}});
-            rewrite.emplace(keys_.of(cand->expr), ir::Expr(temp));
+                "inv" + std::to_string(next_temp_++), cand.expr->dtype());
+            assigns.push_back(LNode{LAssign{temp, cand.expr}});
+            cand.temp = temp;
         }
+        if (assigns.empty())
+            return 0;
 
+        // Replace every selected subtree with its temporary, top-down.
         forEachBodyExpr(*loop.body, [&](ir::Expr &e) {
-            e = rewriteExpr(e, rewrite);
+            e = ir::mapExpr(e, [&](const ir::Expr &sub) -> ir::Expr {
+                if (!isCompound(sub))
+                    return nullptr;
+                const HoistCandidate *cand = candidates.find(sub);
+                return cand ? cand->temp : nullptr;
+            });
         });
 
         const size_t n = assigns.size();
@@ -217,43 +280,31 @@ class AddressHoist : public Pass
 
     /** Record the topmost hoistable subtrees of `e`. */
     static void
-    gather(const ir::Expr &e, const Forbidden &forbidden,
-           std::map<std::string, HoistCandidate> &candidates,
-           int64_t &order, KeyCache &keys)
+    gather(const ir::Expr &e, Hoistability &hoistable,
+           CandidateTable &candidates)
     {
-        const bool compound = e->kind() == ir::ExprKind::kUnary ||
-                              e->kind() == ir::ExprKind::kBinary ||
-                              e->kind() == ir::ExprKind::kSelect;
-        if (!compound)
+        if (!isCompound(e))
             return;
-        if (isHoistable(e, forbidden)) {
-            auto [it, inserted] =
-                candidates.emplace(keys.of(e), HoistCandidate{});
-            if (inserted) {
-                it->second.expr = e;
-                it->second.nodes = ir::exprNodeCount(e);
-                it->second.first_seen = order;
-            }
-            it->second.count += 1;
-            ++order;
+        if (hoistable(e)) {
+            candidates.add(e);
             return; // topmost only: do not descend
         }
         switch (e->kind()) {
           case ir::ExprKind::kUnary:
-            gather(static_cast<const ir::UnaryNode &>(*e).a, forbidden,
-                   candidates, order, keys);
+            gather(static_cast<const ir::UnaryNode &>(*e).a, hoistable,
+                   candidates);
             break;
           case ir::ExprKind::kBinary: {
             const auto &node = static_cast<const ir::BinaryNode &>(*e);
-            gather(node.a, forbidden, candidates, order, keys);
-            gather(node.b, forbidden, candidates, order, keys);
+            gather(node.a, hoistable, candidates);
+            gather(node.b, hoistable, candidates);
             break;
           }
           case ir::ExprKind::kSelect: {
             const auto &node = static_cast<const ir::SelectNode &>(*e);
-            gather(node.cond, forbidden, candidates, order, keys);
-            gather(node.on_true, forbidden, candidates, order, keys);
-            gather(node.on_false, forbidden, candidates, order, keys);
+            gather(node.cond, hoistable, candidates);
+            gather(node.on_true, hoistable, candidates);
+            gather(node.on_false, hoistable, candidates);
             break;
           }
           default:
@@ -261,25 +312,7 @@ class AddressHoist : public Pass
         }
     }
 
-    /** Replace every mapped subtree with its temporary, top-down. */
-    ir::Expr
-    rewriteExpr(const ir::Expr &e,
-                const std::map<std::string, ir::Expr> &rewrite)
-    {
-        return ir::mapExpr(e, [&](const ir::Expr &sub) -> ir::Expr {
-            const bool compound =
-                sub->kind() == ir::ExprKind::kUnary ||
-                sub->kind() == ir::ExprKind::kBinary ||
-                sub->kind() == ir::ExprKind::kSelect;
-            if (!compound)
-                return nullptr;
-            auto it = rewrite.find(keys_.of(sub));
-            return it != rewrite.end() ? it->second : nullptr;
-        });
-    }
-
     int next_temp_ = 0;
-    KeyCache keys_;
 };
 
 } // namespace

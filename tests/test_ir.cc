@@ -1,16 +1,22 @@
 /**
  * @file
  * Tests for the Tilus VM IR: scalar expressions (folding, evaluation,
- * alignment analysis), the Script DSL builder, the program printer, and
- * the verifier's well-formedness rules (notably the View reinterpretation
- * compatibility rule of Figure 2(c)).
+ * alignment analysis, the structural hash and equality), the Script DSL
+ * builder, the program printer, and the verifier's well-formedness rules
+ * (notably the View reinterpretation compatibility rule of Figure 2(c)).
  */
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "lang/script.h"
 #include "layout/atoms.h"
+#include "support/rng.h"
 
 namespace tilus {
 namespace {
@@ -76,6 +82,268 @@ TEST(Expr, ToStringIsReadable)
     Var m = Var::make("m");
     EXPECT_EQ(ir::toString(m * 4 + 1), "((m * 4) + 1)");
     EXPECT_EQ(ir::toString(ir::minExpr(m, constInt(2))), "min(m, 2)");
+}
+
+// ---------------------------------------------------------------------------
+// Structural hash and equality
+// ---------------------------------------------------------------------------
+
+// With make_shared's 16-byte control block each node sits in one glibc
+// size class; a field added to ExprNode must not move them all up one.
+static_assert(sizeof(ir::ExprNode) == 24, "ExprNode grew");
+static_assert(sizeof(ir::ConstNode) == 40, "ConstNode grew");
+static_assert(sizeof(ir::UnaryNode) == 40, "UnaryNode grew");
+static_assert(sizeof(ir::BinaryNode) == 56, "BinaryNode grew");
+static_assert(sizeof(ir::SelectNode) == 72, "SelectNode grew");
+
+/** The string key expressions were compared by before the hash; kept
+    as the oracle for structurallyEqual. */
+void
+stringKeyInto(const Expr &expr, std::ostringstream &oss)
+{
+    switch (expr->kind()) {
+      case ir::ExprKind::kConst: {
+        const auto &node = static_cast<const ir::ConstNode &>(*expr);
+        if (node.dtype().isFloat()) {
+            uint64_t bits;
+            std::memcpy(&bits, &node.fvalue, sizeof(bits));
+            oss << "f" << std::hex << bits << std::dec;
+        } else {
+            oss << "c" << node.ivalue;
+        }
+        return;
+      }
+      case ir::ExprKind::kVar:
+        oss << "v" << static_cast<const ir::VarNode &>(*expr).id;
+        return;
+      case ir::ExprKind::kUnary: {
+        const auto &node = static_cast<const ir::UnaryNode &>(*expr);
+        oss << "u" << static_cast<int>(node.op) << "(";
+        stringKeyInto(node.a, oss);
+        oss << ")";
+        return;
+      }
+      case ir::ExprKind::kBinary: {
+        const auto &node = static_cast<const ir::BinaryNode &>(*expr);
+        oss << "b" << static_cast<int>(node.op) << "(";
+        stringKeyInto(node.a, oss);
+        oss << ",";
+        stringKeyInto(node.b, oss);
+        oss << ")";
+        return;
+      }
+      case ir::ExprKind::kSelect: {
+        const auto &node = static_cast<const ir::SelectNode &>(*expr);
+        oss << "s(";
+        stringKeyInto(node.cond, oss);
+        oss << ",";
+        stringKeyInto(node.on_true, oss);
+        oss << ",";
+        stringKeyInto(node.on_false, oss);
+        oss << ")";
+        return;
+      }
+    }
+}
+
+std::string
+stringKey(const Expr &expr)
+{
+    std::ostringstream oss;
+    stringKeyInto(expr, oss);
+    return oss.str();
+}
+
+Expr
+floatBits(uint64_t bits, DataType dtype = tilus::float32())
+{
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    return ir::constFloat(value, dtype);
+}
+
+/**
+ * Random expression trees over a small alphabet of near-miss leaves,
+ * built without the folding factories so every shape survives. Pairs
+ * are a tree and either an independent tree, itself, or a rebuilt copy
+ * (fresh nodes, perhaps other dtypes, perhaps one leaf or operator
+ * swapped), so both equal and unequal pairs are common.
+ */
+class ExprGen
+{
+  public:
+    explicit ExprGen(uint64_t seed) : rng_(seed)
+    {
+        Var x = Var::make("x");
+        Var x_twin = Var::make("x"); // same name, distinct variable
+        Var y = Var::make("y", tilus::int64());
+        leaves_ = {
+            x, x_twin, y,
+            // x again, as an int64 node: a dtype-only difference.
+            std::make_shared<ir::VarNode>("x", tilus::int64(), x.id()),
+            constInt(3), constInt(3, tilus::int64()),
+            constInt(3, tilus::float32()), // float-typed 3.0
+            ir::constFloat(3.0), ir::constFloat(3.0, tilus::float16()),
+            ir::constFloat(3.0, tilus::int32()), // int-typed 3
+            ir::constFloat(0.0), ir::constFloat(-0.0), constInt(0),
+            floatBits(0x7ff8000000000000ull), floatBits(0x7ff8000000000001ull),
+            floatBits(0x7ff8000000000001ull, tilus::float16()),
+            constInt(-1), constInt(7),
+        };
+    }
+
+    Expr
+    tree(int depth)
+    {
+        if (!recent_.empty() && rng_.nextBelow(6) == 0)
+            return recent_[rng_.nextBelow(recent_.size())]; // shared
+        if (depth == 0 || rng_.nextBelow(4) == 0)
+            return leaves_[rng_.nextBelow(leaves_.size())];
+        Expr e;
+        switch (rng_.nextBelow(3)) {
+          case 0:
+            e = std::make_shared<ir::UnaryNode>(unaryOp(), tree(depth - 1));
+            break;
+          case 1: {
+            Expr a = tree(depth - 1);
+            Expr b = tree(depth - 1);
+            e = std::make_shared<ir::BinaryNode>(binaryOp(), a, b, dtype());
+            break;
+          }
+          default: {
+            Expr c = tree(depth - 1);
+            Expr t = tree(depth - 1);
+            Expr f = tree(depth - 1);
+            e = std::make_shared<ir::SelectNode>(c, t, f);
+            break;
+          }
+        }
+        recent_.push_back(e);
+        if (recent_.size() > 16)
+            recent_.erase(recent_.begin());
+        return e;
+    }
+
+    /** Fresh nodes with the same structure, except with probability
+        @p mutate per node a swapped leaf or operator. */
+    Expr
+    rebuild(const Expr &e, double mutate)
+    {
+        const bool swap = rng_.nextDouble() < mutate;
+        switch (e->kind()) {
+          case ir::ExprKind::kConst: {
+            if (swap)
+                return leaves_[rng_.nextBelow(leaves_.size())];
+            const auto &node = static_cast<const ir::ConstNode &>(*e);
+            return node.dtype().isFloat()
+                       ? ir::constFloat(node.fvalue, node.dtype())
+                       : constInt(node.ivalue, node.dtype());
+          }
+          case ir::ExprKind::kVar:
+            return swap ? leaves_[rng_.nextBelow(leaves_.size())] : e;
+          case ir::ExprKind::kUnary: {
+            const auto &node = static_cast<const ir::UnaryNode &>(*e);
+            return std::make_shared<ir::UnaryNode>(
+                swap ? unaryOp() : node.op, rebuild(node.a, mutate));
+          }
+          case ir::ExprKind::kBinary: {
+            const auto &node = static_cast<const ir::BinaryNode &>(*e);
+            Expr a = rebuild(node.a, mutate);
+            Expr b = rebuild(node.b, mutate);
+            return std::make_shared<ir::BinaryNode>(
+                swap ? binaryOp() : node.op, a, b, dtype());
+          }
+          case ir::ExprKind::kSelect: {
+            const auto &node = static_cast<const ir::SelectNode &>(*e);
+            Expr c = rebuild(node.cond, mutate);
+            Expr t = rebuild(node.on_true, mutate);
+            Expr f = rebuild(node.on_false, mutate);
+            return swap ? std::make_shared<ir::SelectNode>(c, f, t)
+                        : std::make_shared<ir::SelectNode>(c, t, f);
+          }
+        }
+        return e;
+    }
+
+    uint64_t below(uint64_t n) { return rng_.nextBelow(n); }
+
+  private:
+    ir::UnaryOp
+    unaryOp()
+    {
+        return rng_.nextBelow(2) ? ir::UnaryOp::kNeg : ir::UnaryOp::kNot;
+    }
+
+    ir::BinaryOp
+    binaryOp()
+    {
+        static const ir::BinaryOp ops[] = {ir::BinaryOp::kAdd,
+                                           ir::BinaryOp::kSub,
+                                           ir::BinaryOp::kMul};
+        return ops[rng_.nextBelow(3)];
+    }
+
+    DataType
+    dtype()
+    {
+        return rng_.nextBelow(2) ? tilus::int32() : tilus::int64();
+    }
+
+    Rng rng_;
+    std::vector<Expr> leaves_;
+    std::vector<Expr> recent_;
+};
+
+TEST(ExprHash, NearMissLeaves)
+{
+    Var x = Var::make("x");
+    Var x_twin = Var::make("x");
+    auto eq = [](const Expr &a, const Expr &b) {
+        return ir::structurallyEqual(a, b);
+    };
+    EXPECT_FALSE(eq(x, x_twin));
+    EXPECT_TRUE(eq(x, std::make_shared<ir::VarNode>("x", tilus::int64(),
+                                                    x.id())));
+    EXPECT_FALSE(eq(constInt(3), ir::constFloat(3.0)));
+    EXPECT_TRUE(eq(constInt(3), constInt(3, tilus::int64())));
+    EXPECT_TRUE(eq(ir::constFloat(3.0), ir::constFloat(3.0, tilus::float16())));
+    EXPECT_FALSE(eq(ir::constFloat(0.0), ir::constFloat(-0.0)));
+    EXPECT_FALSE(eq(floatBits(0x7ff8000000000000ull),
+                    floatBits(0x7ff8000000000001ull)));
+    EXPECT_TRUE(eq(floatBits(0x7ff8000000000001ull),
+                   floatBits(0x7ff8000000000001ull, tilus::float16())));
+    EXPECT_EQ((x + 1)->hash(), (x + 1)->hash());
+    EXPECT_NE((x + 1)->hash(), (Expr(x_twin) + 1)->hash());
+    EXPECT_NE((x - constInt(1))->hash(), (constInt(1) - x)->hash());
+}
+
+TEST(ExprHash, EqualityAgreesWithTheStringKey)
+{
+    ExprGen gen(0x5eedull);
+    int equal = 0, unequal = 0;
+    for (int i = 0; i < 20000; ++i) {
+        Expr a = gen.tree(1 + static_cast<int>(gen.below(5)));
+        Expr b;
+        switch (gen.below(4)) {
+          case 0: b = gen.tree(1 + static_cast<int>(gen.below(5))); break;
+          case 1: b = a; break;
+          case 2: b = gen.rebuild(a, 0.0); break;
+          default: b = gen.rebuild(a, 0.1); break;
+        }
+        const bool want = stringKey(a) == stringKey(b);
+        ASSERT_EQ(ir::structurallyEqual(a, b), want)
+            << stringKey(a) << " vs " << stringKey(b);
+        ASSERT_EQ(ir::structurallyEqual(b, a), want);
+        if (want) {
+            ASSERT_EQ(a->hash(), b->hash()) << stringKey(a);
+            ++equal;
+        } else {
+            ++unequal;
+        }
+    }
+    // Both outcomes must be well exercised.
+    EXPECT_GT(equal, 5000);
+    EXPECT_GT(unequal, 5000);
 }
 
 // ---------------------------------------------------------------------------
