@@ -74,6 +74,73 @@ castLutFor(const DataType &src, const DataType &dst)
     return lut;
 }
 
+/**
+ * Shared per-thread tables: f(tid) for tid in [0, threads), for every
+ * separable tid part f. A candidate's two probes, and the candidates of
+ * one sweep, share most address expressions, so each table is built
+ * once per process per (f, threads) and shared by every program that
+ * needs it. Entries are keyed by f's structural hash and checked with
+ * ir::structurallyEqual; that suffices because ir::evalInt ignores
+ * dtype. The index holds tables weakly, so a table dies with the last
+ * program that uses it; expired entries are swept as the index grows.
+ */
+std::shared_ptr<const std::vector<int64_t>>
+tidTableFor(const ir::Expr &f, int threads)
+{
+    struct Table
+    {
+        ir::Expr f;
+        std::vector<int64_t> values;
+    };
+    struct Entry
+    {
+        int threads;
+        std::weak_ptr<const Table> table;
+    };
+    static std::mutex mutex;
+    static std::unordered_multimap<uint64_t, Entry> index;
+    static size_t sweep_at = 1024;
+
+    // The returned pointer aliases the values but owns the whole table.
+    auto find = [&]() -> std::shared_ptr<const std::vector<int64_t>> {
+        auto [lo, hi] = index.equal_range(f->hash());
+        for (auto it = lo; it != hi; ++it) {
+            if (it->second.threads != threads)
+                continue;
+            std::shared_ptr<const Table> table = it->second.table.lock();
+            if (table && ir::structurallyEqual(table->f, f))
+                return {table, &table->values};
+        }
+        return nullptr;
+    };
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (auto values = find())
+            return values;
+    }
+
+    // Tabulate outside the lock: decodes run concurrently on the
+    // compile pool. On a lost race the first table is kept.
+    auto table = std::make_shared<Table>();
+    table->f = f;
+    table->values.resize(static_cast<size_t>(threads));
+    ir::Env tid_env;
+    for (int t = 0; t < threads; ++t) {
+        tid_env.bind(tidVar().id(), t);
+        table->values[t] = ir::evalInt(f, tid_env);
+    }
+    std::lock_guard<std::mutex> lock(mutex);
+    if (auto values = find())
+        return values;
+    if (index.size() >= sweep_at) {
+        for (auto it = index.begin(); it != index.end();)
+            it = it->second.table.expired() ? index.erase(it) : std::next(it);
+        sweep_at = std::max<size_t>(1024, 2 * index.size());
+    }
+    index.emplace(f->hash(), Entry{threads, table});
+    return {table, &table->values};
+}
+
 /** Decode aborts are reported as a fallback reason, never thrown. */
 struct DecodeFailure
 {
@@ -273,14 +340,7 @@ class MicroDecoder
             if (parts.base)
                 ref.base = compileProgram(parts.base,
                                           /*allow_tid=*/false);
-            auto table = std::make_shared<std::vector<int64_t>>();
-            table->resize(static_cast<size_t>(kernel_.block_threads));
-            ir::Env tid_env;
-            for (int t = 0; t < kernel_.block_threads; ++t) {
-                tid_env.bind(tidVar().id(), t);
-                (*table)[t] = ir::evalInt(parts.tid_part, tid_env);
-            }
-            ref.table = std::move(table);
+            ref.table = tidTableFor(parts.tid_part, kernel_.block_threads);
             program_.num_tabulated_ += 1;
             return ref;
           }

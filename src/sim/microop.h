@@ -83,7 +83,7 @@ enum class ExprClass : uint8_t
     kConst,     ///< folded to a compile-time constant
     kUniform,   ///< tid-free: evaluated once per op execution
     kAffine,    ///< base + tid * stride, both tid-free
-    kTabulated, ///< base + table[tid], table built at decode time
+    kTabulated, ///< base + table[tid], table shared process-wide
     kGeneric,   ///< per-thread slot-program evaluation (the fallback path)
 };
 
@@ -96,7 +96,9 @@ struct ExprRef
                         ///< empty = 0 for pure-tid tabulated exprs);
                         ///< kGeneric full program
     ExprProgram stride; ///< kAffine per-thread stride
-    /// kTabulated: the pure-tid part evaluated per thread at decode.
+    /// kTabulated: the pure-tid part evaluated per thread. Built once
+    /// per process per (part, block_threads) and shared by every
+    /// program that needs it; it dies with the last of them.
     std::shared_ptr<const std::vector<int64_t>> table;
 };
 
