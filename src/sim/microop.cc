@@ -80,8 +80,9 @@ castLutFor(const DataType &src, const DataType &dst)
  * one sweep, share most address expressions, so each table is built
  * once per process per (f, threads) and shared by every program that
  * needs it. Entries are keyed by f's structural hash and checked with
- * ir::structurallyEqual; that suffices because ir::evalInt ignores
- * dtype. The index holds tables weakly, so a table dies with the last
+ * ir::structurallyEqual, which ignores dtype; so does ir::evalInt, and
+ * tid parts are integer address arithmetic, so equal parts tabulate
+ * equally. The index holds tables weakly, so a table dies with the last
  * program that uses it; expired entries are swept as the index grows.
  */
 std::shared_ptr<const std::vector<int64_t>>
