@@ -53,6 +53,15 @@ hashMix(uint64_t seed, uint64_t value)
     return x;
 }
 
+/** Mixes @p values into @p seed from left to right. */
+template <typename... Values>
+uint64_t
+hashAll(uint64_t seed, Values... values)
+{
+    ((seed = hashMix(seed, static_cast<uint64_t>(values))), ...);
+    return seed;
+}
+
 /** Per-kind seeds; integer and float constants never compare equal. */
 enum HashSeed : uint64_t
 {
@@ -141,7 +150,7 @@ class ConstNode : public ExprNode
     static uint64_t
     valueHash(const DataType &dtype, int64_t ivalue, double fvalue)
     {
-        return detail::hashMix(dtype.isFloat() ? detail::kSeedFloat
+        return detail::hashAll(dtype.isFloat() ? detail::kSeedFloat
                                                : detail::kSeedInt,
                                bitsOf(dtype, ivalue, fvalue));
     }
@@ -153,8 +162,7 @@ class VarNode : public ExprNode
   public:
     VarNode(std::string name, DataType dtype, int id)
         : ExprNode(ExprKind::kVar, dtype,
-                   detail::hashMix(detail::kSeedVar,
-                                   static_cast<uint64_t>(id))),
+                   detail::hashAll(detail::kSeedVar, id)),
           name(std::move(name)), id(id)
     {}
 
@@ -167,10 +175,8 @@ class UnaryNode : public ExprNode
   public:
     UnaryNode(UnaryOp op, Expr operand)
         : ExprNode(ExprKind::kUnary, operand->dtype(),
-                   detail::hashMix(
-                       detail::hashMix(detail::kSeedUnary,
-                                       static_cast<uint64_t>(op)),
-                       operand->hash())),
+                   detail::hashAll(detail::kSeedUnary, op,
+                                   operand->hash())),
           op(op), a(std::move(operand))
     {}
 
@@ -183,12 +189,8 @@ class BinaryNode : public ExprNode
   public:
     BinaryNode(BinaryOp op, Expr lhs, Expr rhs, DataType dtype)
         : ExprNode(ExprKind::kBinary, dtype,
-                   detail::hashMix(
-                       detail::hashMix(
-                           detail::hashMix(detail::kSeedBinary,
-                                           static_cast<uint64_t>(op)),
-                           lhs->hash()),
-                       rhs->hash())),
+                   detail::hashAll(detail::kSeedBinary, op, lhs->hash(),
+                                   rhs->hash())),
           op(op), a(std::move(lhs)), b(std::move(rhs))
     {}
 
@@ -202,12 +204,8 @@ class SelectNode : public ExprNode
   public:
     SelectNode(Expr cond, Expr on_true, Expr on_false)
         : ExprNode(ExprKind::kSelect, on_true->dtype(),
-                   detail::hashMix(
-                       detail::hashMix(
-                           detail::hashMix(detail::kSeedSelect,
-                                           cond->hash()),
-                           on_true->hash()),
-                       on_false->hash())),
+                   detail::hashAll(detail::kSeedSelect, cond->hash(),
+                                   on_true->hash(), on_false->hash())),
           cond(std::move(cond)), on_true(std::move(on_true)),
           on_false(std::move(on_false))
     {}
