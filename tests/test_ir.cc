@@ -5,9 +5,7 @@
  * builder, the program printer, and the verifier's well-formedness rules
  * (notably the View reinterpretation compatibility rule of Figure 2(c)).
  */
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
