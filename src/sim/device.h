@@ -4,7 +4,9 @@
  * allocator. "Device pointers" are byte offsets into this array, which is
  * what kernel pointer parameters carry. Allocation beyond the configured
  * capacity raises OutOfMemoryError, mirroring CUDA OOM behaviour (the
- * paper's Figures 12-13 rely on OOM being observable).
+ * paper's Figures 12-13 rely on OOM being observable). An access outside
+ * [0, capacity) raises SimError, as an illegal address faults on
+ * hardware.
  */
 #pragma once
 
@@ -68,7 +70,10 @@ class Device
     void writeBits(int64_t bit_addr, int bits, uint64_t value);
 
   private:
-    void ensure(int64_t end) const;
+    /** Check that [addr, addr + n) lies inside the capacity, then
+        materialize host storage up to its end. */
+    void ensure(uint64_t addr, int64_t n) const;
+    void ensureBits(int64_t bit_addr, int bits) const;
 
     int64_t capacity_ = 0;
     int64_t next_ = 0;

@@ -3,12 +3,14 @@
  * Simulator semantics tests: genuinely deferred cp.async (a missing wait
  * observably yields stale shared memory), pipelining detection via
  * compute-in-flight marks, Exit/While/Break/Continue/Assign control flow,
- * device memory + OOM accounting, GPU spec tables, and the analytical
- * timing model's structural behaviours (pipelining benefit, occupancy,
- * memory-bound scaling with weight width) plus bit-exact golden
- * estimates.
+ * device memory + OOM accounting + faults outside the capacity, GPU spec
+ * tables, and the analytical timing model's structural behaviours
+ * (pipelining benefit, occupancy, memory-bound scaling with weight width)
+ * plus bit-exact golden estimates.
  */
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -186,6 +188,42 @@ TEST(Sim, DeviceAccounting)
     EXPECT_EQ(back, word);
     device.writeBits(int64_t(b) * 8 + 3, 5, 0x15);
     EXPECT_EQ(device.readBits(int64_t(b) * 8 + 3, 5), 0x15u);
+}
+
+TEST(Sim, DeviceAccessOutsideCapacityThrows)
+{
+    // The capacity bounds an access, not the allocation mark:
+    // opt::runSeeded writes its arenas before reserving them.
+    sim::Device device(1024);
+    uint32_t word = 0x12345678;
+    device.write(1020, &word, 4); // the last four bytes
+    uint32_t back = 0;
+    device.read(1020, &back, 4);
+    EXPECT_EQ(back, word);
+    device.writeBits(1024 * 8 - 5, 5, 0x1F);
+    EXPECT_EQ(device.readBits(1024 * 8 - 5, 5), 0x1Fu);
+
+    EXPECT_THROW(device.write(1021, &word, 4), SimError);
+    EXPECT_THROW(device.read(1024, &back, 1), SimError);
+    EXPECT_THROW(device.readBits(1024 * 8 - 4, 5), SimError);
+    EXPECT_THROW(device.writeBits(1024 * 8, 1, 1), SimError);
+    // Negative addresses, and a size that would wrap the end around.
+    EXPECT_THROW(device.read(static_cast<uint64_t>(int64_t(-4)), &back, 4),
+                 SimError);
+    EXPECT_THROW(device.write(static_cast<uint64_t>(int64_t(-1)), &word, 1),
+                 SimError);
+    EXPECT_THROW(device.readBits(-1, 1), SimError);
+    EXPECT_THROW(device.writeBits(-8, 4, 0), SimError);
+    EXPECT_THROW(device.read(8, &back, INT64_MAX), SimError);
+    EXPECT_THROW(device.read(0, &back, -1), SimError);
+    try {
+        device.read(4096, &back, 4);
+        ADD_FAILURE() << "no exception";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("illegal memory access"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ---------------------------------------------------------------------
