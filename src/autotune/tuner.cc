@@ -78,8 +78,7 @@ estimateConfig(runtime::Runtime &rt, const kernels::MatmulConfig &config,
         kernels::MatmulBundle bundle = kernels::buildMatmul(p);
         const lir::Kernel &kernel =
             rt.getOrCompile(bundle.main_program, opts);
-        // Via the runtime so the probe reuses the cached decoded program.
-        return rt.traceOneBlock(kernel, ghostEnv(kernel, m));
+        return sim::traceOneBlock(kernel, ghostEnv(kernel, m));
     };
     sim::SimStats s1 = probe(1);
     sim::SimStats s2 = probe(2);
@@ -245,10 +244,10 @@ sweepCached(runtime::Runtime &rt, const SweepRequest &req,
         return best;
 
     // One compile-pool task per candidate compiles its two probe depths
-    // and its full-depth instance, decodes and ghost-traces the probes,
-    // and prices the extrapolation. Estimates land by candidate index,
-    // so the winner and the tune record below are chosen serially in
-    // candidate order, exactly as a one-thread sweep chooses them.
+    // and its full-depth instance, ghost-traces the probes on the tree
+    // walk, and prices the extrapolation. Estimates land by candidate
+    // index, so the winner and the tune record below are chosen serially
+    // in candidate order, exactly as a one-thread sweep chooses them.
     obs::Registry::instance()
         .counter("tune_candidates_total")
         .add(static_cast<int64_t>(candidates.size()));

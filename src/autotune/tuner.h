@@ -97,9 +97,9 @@ cache::Fingerprint tuneKey(const SweepRequest &req,
  * On a database hit the stored winner is returned immediately —
  * enumeration, compilation, and probe tracing are all skipped. On a
  * miss the sweep enumerates candidates and estimates each one in its own
- * compile-pool task (cache/compile_pool.h): compile, decode, ghost-trace,
- * price. The winner is then picked serially in candidate order and
- * recorded, so the record does not depend on the thread count.
+ * compile-pool task (cache/compile_pool.h): compile, ghost-trace on the
+ * tree walk, price. The winner is then picked serially in candidate
+ * order and recorded, so the record does not depend on the thread count.
  * When no candidate is valid, the result has candidates_tried == 0 and
  * infinite latency (callers decide whether that is fatal).
  *

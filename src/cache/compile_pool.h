@@ -2,13 +2,13 @@
  * @file
  * The per-candidate executor used by cold autotune sweeps.
  *
- * A cold tuning pass compiles, decodes and ghost-traces a few hundred
- * candidate kernels; the candidates are independent, so the tuner runs
- * one task per candidate on a small thread pool and only picks the
- * winner serially. The path is thread-safe by construction: IR nodes
- * are immutable shared trees, the process-global id counters are
- * atomic, ghost tracing touches no device, and runtime::Runtime
- * serializes its cache map behind a mutex.
+ * A cold tuning pass compiles and ghost-traces a few hundred candidate
+ * kernels; the candidates are independent, so the tuner runs one task
+ * per candidate on a small thread pool and only picks the winner
+ * serially. The path is thread-safe by construction: IR nodes are
+ * immutable shared trees, the process-global id counters are atomic,
+ * ghost tracing walks the tree and touches no device, and
+ * runtime::Runtime serializes its cache map behind a mutex.
  *
  * TILUS_COMPILE_THREADS pins the worker count (1 runs inline — the
  * escape hatch when debugging); the default is min(hardware threads, 8).

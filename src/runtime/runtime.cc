@@ -167,37 +167,23 @@ Runtime::getOrCompile(const ir::Program &program,
 }
 
 const sim::MicroProgram *
-Runtime::cachedProgram(const lir::Kernel &kernel) const
+Runtime::cachedProgram(const lir::Kernel &kernel)
 {
     if (sim::resolveEngine(sim::Engine::kAuto) == sim::Engine::kTreeWalk)
         return nullptr;
-    CachedKernel *entry;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = entries_.find(&kernel);
-        if (it == entries_.end())
-            return nullptr;
-        entry = it->second;
-        if (entry->program)
-            return entry->program.get();
-    }
-
-    // Decode outside the lock: cold sweeps decode their candidates'
-    // probes concurrently on the compile pool. A lost race on insertion
-    // just discards a duplicate, as in getOrCompile.
-    std::unique_ptr<sim::MicroProgram> program;
-    {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(&kernel);
+    if (it == entries_.end())
+        return nullptr;
+    std::unique_ptr<sim::MicroProgram> &program = it->second->program;
+    if (!program) {
         obs::Span span("sim", "microop-decode");
         span.arg("kernel", kernel.name);
+        obs::Registry::instance().counter("sim_microop_decodes_total").add();
         program = std::make_unique<sim::MicroProgram>(
             sim::compileMicroProgram(kernel));
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!entry->program) {
-        obs::Registry::instance().counter("sim_microop_decodes_total").add();
-        entry->program = std::move(program);
-    }
-    return entry->program.get();
+    return program.get();
 }
 
 ir::Env
@@ -258,30 +244,11 @@ Runtime::launch(const lir::Kernel &kernel, const std::vector<KernelArg> &args)
     obs::ProfileCollector collector(kernel);
     options.profile = &collector;
     sim::SimStats stats = sim::run(kernel, env, &device_, options);
-    sim::SimStats block_stats =
-        sim::traceOneBlock(kernel, env, options.micro_program);
+    sim::SimStats block_stats = sim::traceOneBlock(kernel, env);
     sink.record(collector.finish(block_stats, env, spec_, {},
                                  stats.used_microops ? "microop"
                                                      : "treewalk"));
     return stats;
-}
-
-sim::SimStats
-Runtime::traceOneBlock(const lir::Kernel &kernel,
-                       const ir::Env &args) const
-{
-    return sim::traceOneBlock(kernel, args, cachedProgram(kernel));
-}
-
-sim::LatencyBreakdown
-Runtime::estimate(const lir::Kernel &kernel,
-                  const std::vector<KernelArg> &args,
-                  const sim::PerfTraits &traits)
-{
-    checkArch(kernel);
-    ir::Env env = toEnv(kernel, args);
-    sim::SimStats block_stats = traceOneBlock(kernel, env);
-    return sim::estimateLatency(kernel, block_stats, env, spec_, traits);
 }
 
 } // namespace runtime

@@ -3,9 +3,10 @@
  * The Tilus runtime system (Section 8, step 4): it owns the simulated
  * device, loads compiled kernels, caches them to avoid recompilation,
  * provides the workspace used by AllocateGlobal, and launches kernels
- * over a CUDA-stream-like interface. It also exposes the timing entry
- * point used by benchmarks: trace one block and extrapolate with the
- * analytical model.
+ * over a CUDA-stream-like interface. Latency estimates do not need a
+ * runtime: sim::traceOneBlock traces one block and sim::estimateLatency
+ * prices it with the analytical model (the autotuner extrapolates two
+ * short probes first).
  */
 #pragma once
 
@@ -84,9 +85,10 @@ class Runtime
      * program never alias. Lookup order: in-memory tier, then the
      * on-disk artifact store (skipped when TILUS_CACHE=off or
      * setDiskCache(nullptr)), then compiler::compile — freshly compiled
-     * kernels are persisted to disk. The kernel is pre-decoded for the
-     * micro-op engine lazily, so every launch and autotune probe of a
-     * cached kernel pays decode once.
+     * kernels are persisted to disk. A kernel is pre-decoded for the
+     * micro-op engine on its first launch, so repeated launches pay
+     * decode once; autotune probes only ghost-trace, which decodes
+     * nothing.
      *
      * Thread-safe: cold autotune sweeps call this concurrently from the
      * compile pool (cache/compile_pool.h). Racing compilations of
@@ -108,32 +110,17 @@ class Runtime
 
     /**
      * The cached pre-decoded program for a kernel obtained from
-     * getOrCompile, decoding it on first use outside the runtime lock, so
-     * pool threads decode concurrently (null for foreign kernels —
+     * getOrCompile, decoding it on first use (null for foreign kernels —
      * sim::run then decodes on the fly — and when the process is pinned
      * to the tree-walk engine, where decoding would be pure overhead).
+     * Decodes under the runtime lock: launch, its caller, is
+     * single-threaded.
      */
-    const sim::MicroProgram *cachedProgram(const lir::Kernel &kernel) const;
+    const sim::MicroProgram *cachedProgram(const lir::Kernel &kernel);
 
     /** Launch a kernel functionally over all blocks. */
     sim::SimStats launch(const lir::Kernel &kernel,
                          const std::vector<KernelArg> &args);
-
-    /**
-     * Ghost-trace one block, reusing the cached decoded program when the
-     * kernel came from this runtime's cache (autotune probes call this
-     * thousands of times per tuning run).
-     */
-    sim::SimStats traceOneBlock(const lir::Kernel &kernel,
-                                const ir::Env &args) const;
-
-    /**
-     * Estimate the kernel's latency on this runtime's GPU by tracing one
-     * block in ghost mode and applying the analytical model.
-     */
-    sim::LatencyBreakdown estimate(const lir::Kernel &kernel,
-                                   const std::vector<KernelArg> &args,
-                                   const sim::PerfTraits &traits = {});
 
   private:
     /** A compiled kernel and its pre-decoded micro-op program. */
@@ -149,15 +136,15 @@ class Runtime
 
     sim::GpuSpec spec_;
     sim::Device device_;
-    /// Guards cache_, entries_ and the installation of decoded programs;
-    /// compilation and decoding themselves run outside it. The simulated
-    /// device is NOT thread-safe — only compilation, decoding and ghost
-    /// tracing may run concurrently, launches stay single-threaded.
-    mutable std::mutex mutex_;
+    /// Guards cache_, entries_ and decoding; compilation runs outside
+    /// it. The simulated device is NOT thread-safe — only compilation
+    /// and ghost tracing may run concurrently, launches stay
+    /// single-threaded.
+    std::mutex mutex_;
     /// Values are decoded lazily by cachedProgram; node addresses are
     /// stable, so entries_ may point into the map.
-    mutable std::map<cache::Fingerprint, CachedKernel> cache_;
-    mutable std::map<const lir::Kernel *, CachedKernel *> entries_;
+    std::map<cache::Fingerprint, CachedKernel> cache_;
+    std::map<const lir::Kernel *, CachedKernel *> entries_;
     cache::KernelCache *disk_cache_ = &cache::KernelCache::instance();
     int compile_count_ = 0;
     int disk_load_count_ = 0;

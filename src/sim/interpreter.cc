@@ -715,11 +715,14 @@ run(const lir::Kernel &kernel, ir::Env args, Device *device,
 
     SimStats stats;
 
-    // Engine selection: pre-decoded micro-ops unless the caller (or the
+    // Engine selection: ghost traces walk the tree. Functional runs use
+    // the pre-decoded micro-ops unless the caller (or the
     // TILUS_SIM_ENGINE override) forces the tree walk. The decoded
     // program is reused from the runtime cache when provided, decoded
     // once per run() call otherwise.
-    Engine engine = resolveEngine(options.engine);
+    Engine engine = options.mode == MemoryMode::kGhost
+                        ? Engine::kTreeWalk
+                        : resolveEngine(options.engine);
     std::unique_ptr<MicroProgram> decoded_here;
     const MicroProgram *program = nullptr;
     if (engine != Engine::kTreeWalk) {
@@ -775,13 +778,12 @@ run(const lir::Kernel &kernel, ir::Env args, Device *device,
 
 SimStats
 traceOneBlock(const lir::Kernel &kernel, const ir::Env &args,
-              const MicroProgram *program)
+              const MicroProgram *)
 {
     RunOptions options;
     options.mode = MemoryMode::kGhost;
     options.max_blocks = 1;
     options.enable_print = false;
-    options.micro_program = program;
     return run(kernel, args, nullptr, options);
 }
 

@@ -41,11 +41,13 @@ enum class MemoryMode
 };
 
 /**
- * Which execution engine runs the kernel. kAuto prefers the pre-decoded
- * micro-op engine (sim/microop.h) and falls back to the tree-walk
- * interpreter when the kernel is not decodable; the environment variable
- * TILUS_SIM_ENGINE=treewalk|microop overrides kAuto (benchmarking and
- * A/B timing of whole test suites).
+ * Which execution engine runs a functional launch. kAuto prefers the
+ * pre-decoded micro-op engine (sim/microop.h) and falls back to the
+ * tree-walk interpreter when the kernel is not decodable; the environment
+ * variable TILUS_SIM_ENGINE=treewalk|microop overrides kAuto
+ * (benchmarking and A/B timing of whole test suites). Ghost traces
+ * always walk the tree: a trace runs one block, too few to repay a
+ * decode.
  */
 enum class Engine
 {
@@ -70,11 +72,12 @@ struct RunOptions
     int64_t max_blocks = -1;
     /** Enable Print instructions (block 0 only). */
     bool enable_print = true;
-    /** Execution engine (see Engine). */
+    /** Execution engine of a functional run (see Engine). */
     Engine engine = Engine::kAuto;
     /**
      * Pre-decoded program for `kernel` (runtime::Runtime's cache); when
-     * null the program is decoded on the fly, once per run() call.
+     * null a functional run decodes on the fly, once per run() call.
+     * Ghost traces ignore it.
      */
     const MicroProgram *micro_program = nullptr;
     /**
@@ -100,10 +103,10 @@ SimStats run(const lir::Kernel &kernel, ir::Env args, Device *device,
              const RunOptions &options = {});
 
 /**
- * Trace a single representative block in ghost mode and return its
- * per-block statistics (the timing model's input). Pass the kernel's
- * cached pre-decoded @p program when one exists (runtime::Runtime);
- * null decodes on the fly.
+ * Trace a single representative block in ghost mode on the tree walk and
+ * return its per-block statistics (the timing model's input). @p program
+ * is ignored; it stays only for perfbench's replay, which still passes
+ * the program it decoded.
  */
 SimStats traceOneBlock(const lir::Kernel &kernel, const ir::Env &args,
                        const MicroProgram *program = nullptr);

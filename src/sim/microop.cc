@@ -74,74 +74,6 @@ castLutFor(const DataType &src, const DataType &dst)
     return lut;
 }
 
-/**
- * Shared per-thread tables: f(tid) for tid in [0, threads), for every
- * separable tid part f. A candidate's two probes, and the candidates of
- * one sweep, share most address expressions, so each table is built
- * once per process per (f, threads) and shared by every program that
- * needs it. Entries are keyed by f's structural hash and checked with
- * ir::structurallyEqual, which ignores dtype; so does ir::evalInt, and
- * tid parts are integer address arithmetic, so equal parts tabulate
- * equally. The index holds tables weakly, so a table dies with the last
- * program that uses it; expired entries are swept as the index grows.
- */
-std::shared_ptr<const std::vector<int64_t>>
-tidTableFor(const ir::Expr &f, int threads)
-{
-    struct Table
-    {
-        ir::Expr f;
-        std::vector<int64_t> values;
-    };
-    struct Entry
-    {
-        int threads;
-        std::weak_ptr<const Table> table;
-    };
-    static std::mutex mutex;
-    static std::unordered_multimap<uint64_t, Entry> index;
-    static size_t sweep_at = 1024;
-
-    // The returned pointer aliases the values but owns the whole table.
-    auto find = [&]() -> std::shared_ptr<const std::vector<int64_t>> {
-        auto [lo, hi] = index.equal_range(f->hash());
-        for (auto it = lo; it != hi; ++it) {
-            if (it->second.threads != threads)
-                continue;
-            std::shared_ptr<const Table> table = it->second.table.lock();
-            if (table && ir::structurallyEqual(table->f, f))
-                return {table, &table->values};
-        }
-        return nullptr;
-    };
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (auto values = find())
-            return values;
-    }
-
-    // Tabulate outside the lock: decodes run concurrently on the
-    // compile pool. On a lost race the first table is kept.
-    auto table = std::make_shared<Table>();
-    table->f = f;
-    table->values.resize(static_cast<size_t>(threads));
-    ir::Env tid_env;
-    for (int t = 0; t < threads; ++t) {
-        tid_env.bind(tidVar().id(), t);
-        table->values[t] = ir::evalInt(f, tid_env);
-    }
-    std::lock_guard<std::mutex> lock(mutex);
-    if (auto values = find())
-        return values;
-    if (index.size() >= sweep_at) {
-        for (auto it = index.begin(); it != index.end();)
-            it = it->second.table.expired() ? index.erase(it) : std::next(it);
-        sweep_at = std::max<size_t>(1024, 2 * index.size());
-    }
-    index.emplace(f->hash(), Entry{threads, table});
-    return {table, &table->values};
-}
-
 /** Decode aborts are reported as a fallback reason, never thrown. */
 struct DecodeFailure
 {
@@ -341,7 +273,12 @@ class MicroDecoder
             if (parts.base)
                 ref.base = compileProgram(parts.base,
                                           /*allow_tid=*/false);
-            ref.table = tidTableFor(parts.tid_part, kernel_.block_threads);
+            ref.table.resize(static_cast<size_t>(kernel_.block_threads));
+            ir::Env tid_env;
+            for (int t = 0; t < kernel_.block_threads; ++t) {
+                tid_env.bind(tidVar().id(), t);
+                ref.table[t] = ir::evalInt(parts.tid_part, tid_env);
+            }
             program_.num_tabulated_ += 1;
             return ref;
           }
@@ -803,11 +740,10 @@ using detail::PendingCopy;
 using detail::applyTensorBinary;
 
 /**
- * Executes one thread block by dispatching over the flat micro-op
- * program. Mirrors interpreter.cc's BlockExecutor semantics exactly —
- * same memory mutations, deferred cp.async groups, statistics, and
- * ghost-mode sampling — with pre-decoded addressing instead of tree
- * walks.
+ * Executes one thread block functionally by dispatching over the flat
+ * micro-op program. Mirrors interpreter.cc's BlockExecutor semantics
+ * exactly — same memory mutations, deferred cp.async groups and
+ * statistics — with pre-decoded addressing instead of tree walks.
  */
 class MicroExecutor
 {
@@ -1024,7 +960,7 @@ class MicroExecutor
             break;
           case ExprClass::kTabulated:
             gen.base = e.base.code.empty() ? 0 : evalProgram(e.base, 0);
-            gen.table = e.table->data();
+            gen.table = e.table.data();
             break;
           case ExprClass::kGeneric:
             gen.prog = &e.base;
@@ -1047,7 +983,7 @@ class MicroExecutor
      * Lazily prepared generator: the uniform/affine parts are evaluated
      * only when the first thread actually needs the value, mirroring
      * exactly where the tree-walk interpreter evaluates each expression
-     * (a never-taken address may divide by zero in ghost traces).
+     * (a never-taken address may divide by zero).
      */
     struct LazyGen
     {
@@ -1280,17 +1216,14 @@ void
 MicroExecutor::execLeaf(const DecodedLeaf &leaf)
 {
     const int threads = kernel_.block_threads;
-    const bool ghost = options_.mode == MemoryMode::kGhost;
     switch (leaf.kind) {
       case DecodedLeaf::kLoadGlobalVec: {
         const auto &o = std::get<LoadGlobalVec>(*leaf.op);
         const TensorInfo &t = program_.tensorInfo()[leaf.t_a];
-        const int warps = threads / 32;
-        const int exec_warps = ghost ? 1 : warps;
         PredGen pred(leaf.pred, this);
         LazyGen addr(leaf.addr, this);
         int64_t active_lanes = 0;
-        for (int w = 0; w < exec_warps; ++w) {
+        for (int w = 0; w < threads / 32; ++w) {
             std::vector<std::pair<int64_t, int>> accesses;
             for (int lane = 0; lane < 32; ++lane) {
                 int thread = w * 32 + lane;
@@ -1299,7 +1232,7 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
                     std::memset(dst, 0, o.bytes);
                     continue;
                 }
-                if (options_.mode == MemoryMode::kFunctional && device_) {
+                if (device_) {
                     int64_t a = addr.at(thread);
                     accesses.emplace_back(a, o.bytes);
                     device_->read(static_cast<uint64_t>(a), dst, o.bytes);
@@ -1314,23 +1247,15 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
         stats_.global_load_bytes += o.bytes * active_lanes;
         stats_.load_bytes_by_global[o.global_id] +=
             o.bytes * active_lanes;
-        if (ghost && exec_warps < warps) {
-            int64_t f = warps - exec_warps;
-            stats_.global_load_bytes += o.bytes * 32 * f;
-            stats_.load_bytes_by_global[o.global_id] += o.bytes * 32 * f;
-            stats_.ldg_ops += f;
-        }
         break;
       }
       case DecodedLeaf::kStoreGlobalVec: {
         const auto &o = std::get<StoreGlobalVec>(*leaf.op);
         const TensorInfo &t = program_.tensorInfo()[leaf.t_a];
-        const int warps = threads / 32;
-        const int exec_warps = ghost ? 1 : warps;
         PredGen pred(leaf.pred, this);
         LazyGen addr(leaf.addr, this);
         int64_t active_lanes = 0;
-        for (int w = 0; w < exec_warps; ++w) {
+        for (int w = 0; w < threads / 32; ++w) {
             std::vector<std::pair<int64_t, int>> accesses;
             for (int lane = 0; lane < 32; ++lane) {
                 int thread = w * 32 + lane;
@@ -1338,7 +1263,7 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
                     continue;
                 int64_t a = addr.at(thread);
                 accesses.emplace_back(a, o.bytes);
-                if (options_.mode == MemoryMode::kFunctional && device_) {
+                if (device_) {
                     device_->write(static_cast<uint64_t>(a),
                                    storagePtr(t, thread) + o.src_byte,
                                    o.bytes);
@@ -1351,12 +1276,6 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
         stats_.global_store_bytes += o.bytes * active_lanes;
         stats_.store_bytes_by_global[o.global_id] +=
             o.bytes * active_lanes;
-        if (ghost && exec_warps < warps) {
-            int64_t f = warps - exec_warps;
-            stats_.global_store_bytes += o.bytes * 32 * f;
-            stats_.store_bytes_by_global[o.global_id] += o.bytes * 32 * f;
-            stats_.stg_ops += f;
-        }
         break;
       }
       case DecodedLeaf::kLoadGlobalBits: {
@@ -1365,10 +1284,8 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
         LazyGen addr(leaf.addr, this);
         for (int thread = 0; thread < threads; ++thread) {
             int64_t bit_addr = addr.at(thread);
-            uint64_t value =
-                (options_.mode == MemoryMode::kFunctional && device_)
-                    ? device_->readBits(bit_addr, o.bits)
-                    : 0;
+            uint64_t value = device_ ? device_->readBits(bit_addr, o.bits)
+                                     : 0;
             uint8_t *base = storagePtr(t, thread);
             setBits(base, o.dst_bit, o.bits, value);
             stats_.bit_extract_ops += 1;
@@ -1386,7 +1303,7 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
             int64_t bit_addr = addr.at(thread);
             uint64_t value =
                 getBits(storagePtr(t, thread), o.src_bit, o.bits);
-            if (options_.mode == MemoryMode::kFunctional && device_)
+            if (device_)
                 device_->writeBits(bit_addr, o.bits, value);
             stats_.bit_extract_ops += 1;
             int64_t touched = (bit_addr + o.bits + 7) / 8 - bit_addr / 8;
@@ -1397,14 +1314,6 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
       }
       case DecodedLeaf::kLoadSharedVec: {
         const auto &o = std::get<LoadSharedVec>(*leaf.op);
-        if (ghost) {
-            stats_.smem_load_bytes += int64_t(o.bytes) * threads;
-            if (o.via_ldmatrix)
-                stats_.ldmatrix_ops += threads / 32;
-            else
-                stats_.lds_ops += threads / 32;
-            return;
-        }
         const TensorInfo &t = program_.tensorInfo()[leaf.t_a];
         LazyGen addr(leaf.addr, this);
         for (int thread = 0; thread < threads; ++thread) {
@@ -1425,11 +1334,6 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
       }
       case DecodedLeaf::kStoreSharedVec: {
         const auto &o = std::get<StoreSharedVec>(*leaf.op);
-        if (ghost) {
-            stats_.smem_store_bytes += int64_t(o.bytes) * threads;
-            stats_.sts_ops += threads / 32;
-            return;
-        }
         const TensorInfo &t = program_.tensorInfo()[leaf.t_a];
         PredGen pred(leaf.pred, this);
         LazyGen addr(leaf.addr, this);
@@ -1450,14 +1354,12 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
       }
       case DecodedLeaf::kCpAsync: {
         const auto &o = std::get<CpAsync>(*leaf.op);
-        const int warps = threads / 32;
-        const int exec_warps = ghost ? 1 : warps;
         PredGen issue(leaf.pred2, this);
         PredGen pred(leaf.pred, this);
         LazyGen smem_addr(leaf.addr, this);
         LazyGen gmem_addr(leaf.addr2, this);
         int64_t active_lanes = 0;
-        for (int w = 0; w < exec_warps; ++w) {
+        for (int w = 0; w < threads / 32; ++w) {
             std::vector<std::pair<int64_t, int>> accesses;
             for (int lane = 0; lane < 32; ++lane) {
                 int thread = w * 32 + lane;
@@ -1478,17 +1380,6 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
         stats_.global_load_bytes += o.bytes * active_lanes;
         stats_.load_bytes_by_global[o.global_id] +=
             o.bytes * active_lanes;
-        if (ghost && exec_warps < warps) {
-            int64_t active = 0;
-            const auto &group = queue_.current();
-            for (size_t i = group.size() >= 32 ? group.size() - 32 : 0;
-                 i < group.size(); ++i)
-                active += group[i].active ? 1 : 0;
-            int64_t f = (warps - exec_warps) * active;
-            stats_.cp_async_bytes += o.bytes * f;
-            stats_.global_load_bytes += o.bytes * f;
-            stats_.load_bytes_by_global[o.global_id] += o.bytes * f;
-        }
         break;
       }
       case DecodedLeaf::kCpAsyncCommit:
@@ -1500,27 +1391,11 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
       case DecodedLeaf::kBarSync:
         stats_.bar_syncs += 1;
         break;
-      case DecodedLeaf::kMmaTile: {
-        const auto &o = std::get<MmaTile>(*leaf.op);
-        if (ghost) {
-            const int warps = threads / 32;
-            stats_.mma_ops += warps;
-            stats_.mma_flops +=
-                static_cast<int64_t>(2) * o.m * o.n * o.k * warps;
-            compute_ops_ += 1;
-            return;
-        }
+      case DecodedLeaf::kMmaTile:
         execMma(leaf);
         break;
-      }
       case DecodedLeaf::kSimtDot: {
         const auto &o = std::get<SimtDot>(*leaf.op);
-        if (ghost) {
-            stats_.simt_fma +=
-                static_cast<int64_t>(o.macs.size()) * threads;
-            compute_ops_ += 1;
-            return;
-        }
         const TensorInfo &ta = program_.tensorInfo()[leaf.t_a];
         const TensorInfo &tb = program_.tensorInfo()[leaf.t_b];
         const TensorInfo &tc = program_.tensorInfo()[leaf.t_c];
@@ -1542,10 +1417,6 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
       case DecodedLeaf::kEltwiseBinary: {
         const auto &o = std::get<EltwiseBinary>(*leaf.op);
         const TensorInfo &ta = program_.tensorInfo()[leaf.t_a];
-        if (ghost) {
-            stats_.alu_elt_ops += ta.locals * threads;
-            return;
-        }
         const TensorInfo &tb = program_.tensorInfo()[leaf.t_b];
         const TensorInfo &td = program_.tensorInfo()[leaf.t_d];
         int64_t locals = ta.locals;
@@ -1565,10 +1436,6 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
       case DecodedLeaf::kEltwiseScalar: {
         const auto &o = std::get<EltwiseScalar>(*leaf.op);
         const TensorInfo &ta = program_.tensorInfo()[leaf.t_a];
-        if (ghost) {
-            stats_.alu_elt_ops += ta.locals * threads;
-            return;
-        }
         const TensorInfo &td = program_.tensorInfo()[leaf.t_d];
         int64_t locals = ta.locals;
         LazyGen scalar(leaf.scalar, this);
@@ -1588,10 +1455,6 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
       }
       case DecodedLeaf::kEltwiseUnary: {
         const TensorInfo &ta = program_.tensorInfo()[leaf.t_a];
-        if (ghost) {
-            stats_.alu_elt_ops += ta.locals * threads;
-            return;
-        }
         const TensorInfo &td = program_.tensorInfo()[leaf.t_d];
         int64_t locals = ta.locals;
         for (int thread = 0; thread < threads; ++thread) {
@@ -1606,14 +1469,6 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
       case DecodedLeaf::kCastTensor: {
         const auto &o = std::get<CastTensor>(*leaf.op);
         const TensorInfo &ts = program_.tensorInfo()[leaf.t_a];
-        if (ghost) {
-            int64_t n = ts.locals * threads;
-            if (o.vectorized)
-                stats_.cast_vec_elems += n;
-            else
-                stats_.cast_scalar_elems += n;
-            return;
-        }
         const TensorInfo &td = program_.tensorInfo()[leaf.t_d];
         int64_t locals = ts.locals;
         if (leaf.cast_lut) {
@@ -1639,8 +1494,6 @@ MicroExecutor::execLeaf(const DecodedLeaf &leaf)
         break;
       }
       case DecodedLeaf::kInitTensor: {
-        if (ghost)
-            return;
         const TensorInfo &t = program_.tensorInfo()[leaf.t_d];
         int64_t locals = t.locals;
         if (leaf.init_bits == 0 && (t.bits & 7) == 0) {
@@ -1800,6 +1653,8 @@ runMicroBlock(const MicroProgram &program, const ir::Env &block_env,
     TILUS_CHECK_MSG(program.ok(),
                     "runMicroBlock on an undecodable program: "
                         << program.fallbackReason());
+    TILUS_CHECK_MSG(options.mode != MemoryMode::kGhost,
+                    "ghost traces run on the tree walk");
     MicroExecutor executor(program, device, stats, options,
                            is_first_block);
     executor.run(block_env);

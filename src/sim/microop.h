@@ -26,6 +26,10 @@
  * reason, and `sim::run` transparently executes it on the legacy
  * tree-walk path instead (recorded in SimStats::microop_fallbacks).
  *
+ * The engine runs functional launches only. Decode pays off over many
+ * blocks; a ghost trace runs one, so ghost traces (the autotuner's
+ * probes) walk the tree and decode nothing.
+ *
  * The decoded program borrows the kernel (it keeps pointers into the
  * kernel's op payloads): the kernel must outlive the program, which is
  * why runtime::Runtime caches the two side by side.
@@ -83,7 +87,7 @@ enum class ExprClass : uint8_t
     kConst,     ///< folded to a compile-time constant
     kUniform,   ///< tid-free: evaluated once per op execution
     kAffine,    ///< base + tid * stride, both tid-free
-    kTabulated, ///< base + table[tid], table shared process-wide
+    kTabulated, ///< base + table[tid], table built at decode time
     kGeneric,   ///< per-thread slot-program evaluation (the fallback path)
 };
 
@@ -96,10 +100,8 @@ struct ExprRef
                         ///< empty = 0 for pure-tid tabulated exprs);
                         ///< kGeneric full program
     ExprProgram stride; ///< kAffine per-thread stride
-    /// kTabulated: the pure-tid part evaluated per thread. Built once
-    /// per process per (part, block_threads) and shared by every
-    /// program that needs it; it dies with the last of them.
-    std::shared_ptr<const std::vector<int64_t>> table;
+    /// kTabulated: the pure-tid part evaluated per thread at decode.
+    std::vector<int64_t> table;
 };
 
 /**
@@ -294,9 +296,10 @@ class MicroProgram
 MicroProgram compileMicroProgram(const lir::Kernel &kernel);
 
 /**
- * Execute one thread block of a decoded program (program.ok() must
- * hold). Mirrors the tree-walk BlockExecutor bit for bit: same device
- * mutations, same deferred cp.async semantics, same SimStats counters.
+ * Execute one thread block of a decoded program functionally
+ * (program.ok() must hold; ghost mode is rejected). Mirrors the
+ * tree-walk BlockExecutor bit for bit: same device mutations, same
+ * deferred cp.async semantics, same SimStats counters.
  */
 void runMicroBlock(const MicroProgram &program, const ir::Env &block_env,
                    Device *device, SimStats &stats,

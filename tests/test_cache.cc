@@ -6,7 +6,8 @@
  * whole-DRAM oracle equivalence of deserialized kernels, the on-disk
  * tier's corruption/version robustness (always a miss, never a crash),
  * Runtime integration across simulated process restarts, tune-database
- * determinism, and concurrent-tuner thread safety.
+ * determinism, cold sweeps that trace without decoding, and
+ * concurrent-tuner thread safety.
  */
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 #include "kernels/matmul.h"
 #include "opt/oracle.h"
 #include "sim/gpu_spec.h"
+#include "sim/microop.h"
 #include "test_helpers.h"
 
 namespace tilus {
@@ -472,6 +474,45 @@ TEST(TuneDb, WarmSweepMatchesColdAndSkipsCompilation)
     // Bit-exact latency record (doubles round-trip by bit pattern).
     EXPECT_EQ(warm.latency.total_us, cold.latency.total_us);
     EXPECT_EQ(warm.latency.pipelined, cold.latency.pipelined);
+}
+
+TEST(TuneDb, ColdSweepTracesOnTheTreeWalkAndDecodesNothing)
+{
+    // A probe is traced for one block, which costs less on the tree walk
+    // than decoding it for the micro-op engine: a cold sweep decodes no
+    // kernel, whatever engine the process prefers for launches.
+    TempDir dir;
+    cache::TuneDb db(dir.path);
+    runtime::Runtime rt(sim::l40s());
+    rt.setDiskCache(nullptr);
+    obs::Counter &decodes =
+        obs::Registry::instance().counter("sim_microop_decodes_total");
+    const int64_t before = decodes.value();
+    autotune::TuneResult cold = autotune::sweepCached(rt, smallSweep(16), &db);
+    EXPECT_GT(cold.candidates_tried, 0);
+    EXPECT_GT(rt.compileCount(), 0);
+    EXPECT_EQ(decodes.value(), before);
+
+    // Ghost mode walks the tree even when the micro-op engine is forced
+    // and handed a decoded program, and counts what the tree walk counts.
+    const lir::Kernel &kernel = rt.getOrCompile(
+        kernels::buildMatmul(tensorCoreConfig(uint4())).main_program, {});
+    const sim::MicroProgram program = sim::compileMicroProgram(kernel);
+    ASSERT_TRUE(program.ok()) << program.fallbackReason();
+    ir::Env env;
+    for (const ir::Var &p : kernel.params)
+        env.bind(p, p.name() == "m" ? 16 : 0);
+    sim::RunOptions options;
+    options.mode = sim::MemoryMode::kGhost;
+    options.max_blocks = 1;
+    options.enable_print = false;
+    options.engine = sim::Engine::kMicroOps;
+    options.micro_program = &program;
+    const sim::SimStats ghost = sim::run(kernel, env, nullptr, options);
+    EXPECT_FALSE(ghost.used_microops);
+    EXPECT_EQ(ghost.microop_fallbacks, 0);
+    EXPECT_EQ(sim::Counters(ghost),
+              sim::Counters(sim::traceOneBlock(kernel, env)));
 }
 
 TEST(TuneDb, KeyCoversSpaceOptionsAndTraits)

@@ -5,14 +5,12 @@
  * the tree-walk interpreter on identically seeded devices), decode-time
  * expression classification (affine / tabulated / generic, including a
  * deliberately non-affine address that pins the per-thread fallback
- * path), ghost-trace statistics parity (the autotuner's input), the
- * runtime's decoded-program cache, the per-thread tables that decoded
- * programs share process-wide, whole-kernel decode fallback, and the
- * satellite fast paths (dense ir::Env, byte-aligned packing).
+ * path), functional statistics parity, the runtime's decoded-program
+ * cache, whole-kernel decode fallback, and the satellite fast paths
+ * (dense ir::Env, byte-aligned packing).
  */
 #include <gtest/gtest.h>
 
-#include "cache/compile_pool.h"
 #include "compiler/compiler.h"
 #include "dtype/packing.h"
 #include "kernels/elementwise.h"
@@ -241,8 +239,7 @@ TEST(MicroOpDecode, AffineDecomposition)
 }
 
 // ---------------------------------------------------------------------
-// Ghost-trace statistics parity: the autotuner and timing model consume
-// these, so both engines must count identically.
+// Functional statistics parity: both engines must count identically.
 // ---------------------------------------------------------------------
 
 void
@@ -272,29 +269,6 @@ expectStatsEqual(const sim::SimStats &a, const sim::SimStats &b)
     EXPECT_EQ(a.cp_commits, b.cp_commits);
     EXPECT_EQ(a.max_groups_in_flight, b.max_groups_in_flight);
     EXPECT_EQ(a.overlapped, b.overlapped);
-}
-
-TEST(MicroOpStats, GhostTraceParity)
-{
-    for (int stages : {1, 2}) {
-        auto cfg = baseConfig(tilus::uint4());
-        cfg.stages = stages;
-        lir::Kernel kernel = compiler::compile(
-            kernels::buildMatmul(cfg).main_program, {});
-        ir::Env env;
-        for (const Var &p : kernel.params)
-            env.bind(p, p.name() == "m" ? 16 : 0);
-        sim::RunOptions options;
-        options.mode = sim::MemoryMode::kGhost;
-        options.max_blocks = 1;
-        options.enable_print = false;
-        options.engine = sim::Engine::kTreeWalk;
-        sim::SimStats tree = sim::run(kernel, env, nullptr, options);
-        options.engine = sim::Engine::kMicroOps;
-        sim::SimStats micro = sim::run(kernel, env, nullptr, options);
-        expectStatsEqual(tree, micro);
-        EXPECT_TRUE(micro.used_microops);
-    }
 }
 
 TEST(MicroOpStats, FunctionalRunParity)
@@ -383,186 +357,6 @@ TEST(MicroOpRuntime, LaunchUsesCachedProgram)
     EXPECT_TRUE(run.stats.used_microops);
     auto want = testing::referenceMatmul(cfg, m, a, b, nullptr);
     EXPECT_LT(testing::maxRelativeError(run.result, want), 2e-2);
-}
-
-// ---------------------------------------------------------------------
-// Per-thread tables: built once per (tid part, block_threads) and shared
-// by every program that needs it, held only by those programs.
-// ---------------------------------------------------------------------
-
-/** Each tabulated address of @p program, with the tid part it holds. */
-std::vector<std::pair<Expr, const sim::ExprRef *>>
-tabulatedAddresses(const sim::MicroProgram &program)
-{
-    std::vector<std::pair<Expr, const sim::ExprRef *>> out;
-    auto add = [&](const Expr &source, const sim::ExprRef &ref) {
-        if (ref.cls == sim::ExprClass::kTabulated)
-            out.emplace_back(lir::classifyThreadExpr(source).tid_part, &ref);
-    };
-    for (const sim::DecodedLeaf &leaf : program.leaves()) {
-        std::visit(
-            [&](const auto &o) {
-                using T = std::decay_t<decltype(o)>;
-                if constexpr (std::is_same_v<T, lir::LoadGlobalBits> ||
-                              std::is_same_v<T, lir::StoreGlobalBits>) {
-                    add(o.bit_addr, leaf.addr);
-                } else if constexpr (std::is_same_v<T, lir::CpAsync>) {
-                    add(o.smem_addr, leaf.addr);
-                    add(o.gmem_addr, leaf.addr2);
-                } else if constexpr (std::is_same_v<T, lir::LoadGlobalVec> ||
-                                     std::is_same_v<T, lir::StoreGlobalVec> ||
-                                     std::is_same_v<T, lir::LoadSharedVec> ||
-                                     std::is_same_v<T, lir::StoreSharedVec>) {
-                    add(o.addr, leaf.addr);
-                }
-            },
-            *leaf.op);
-    }
-    return out;
-}
-
-/** The main kernel of the tuner's probe of @p cfg at @p outers outer
-    iterations (0 = full depth). */
-lir::Kernel
-compileProbe(kernels::MatmulConfig cfg, int outers)
-{
-    if (outers > 0) {
-        cfg.k = cfg.bk * cfg.stages * outers;
-        if (cfg.group_size > 0)
-            cfg.group_size = cfg.bk;
-    }
-    return compiler::compile(kernels::buildMatmul(cfg).main_program, {});
-}
-
-TEST(MicroOpTables, ProbesShareTablesForEqualTidParts)
-{
-    auto cfg = baseConfig(tilus::uint4());
-    cfg.stages = 2;
-    const lir::Kernel probe1 = compileProbe(cfg, 1);
-    const lir::Kernel probe2 = compileProbe(cfg, 2);
-    const sim::MicroProgram program1 = sim::compileMicroProgram(probe1);
-    const sim::MicroProgram program2 = sim::compileMicroProgram(probe2);
-    ASSERT_TRUE(program1.ok() && program2.ok());
-    int shared = 0;
-    for (const auto &[f1, ref1] : tabulatedAddresses(program1)) {
-        for (const auto &[f2, ref2] : tabulatedAddresses(program2)) {
-            if (ir::structurallyEqual(f1, f2)) {
-                EXPECT_EQ(ref1->table.get(), ref2->table.get())
-                    << ir::toString(f1);
-                ++shared;
-            } else {
-                EXPECT_NE(ref1->table.get(), ref2->table.get())
-                    << ir::toString(f1) << " vs " << ir::toString(f2);
-            }
-        }
-    }
-    EXPECT_GT(shared, 0);
-
-    opt::OracleConfig config;
-    config.scalars = {{"m", 16}};
-    for (const lir::Kernel *probe : {&probe1, &probe2}) {
-        opt::OracleReport report = opt::diffEngines(*probe, config);
-        EXPECT_TRUE(report.identical) << report.detail;
-        EXPECT_TRUE(report.stats_opt.used_microops);
-    }
-}
-
-TEST(MicroOpTables, TableDiesWithTheLastProgramUsingIt)
-{
-    auto cfg = baseConfig(tilus::uint4());
-    cfg.stages = 2;
-    const lir::Kernel kernel = compileProbe(cfg, 0);
-    auto first =
-        std::make_unique<sim::MicroProgram>(sim::compileMicroProgram(kernel));
-    auto tables = tabulatedAddresses(*first);
-    ASSERT_FALSE(tables.empty());
-    std::weak_ptr<const std::vector<int64_t>> table =
-        tables.front().second->table;
-    const std::vector<int64_t> values = *tables.front().second->table;
-
-    auto second =
-        std::make_unique<sim::MicroProgram>(sim::compileMicroProgram(kernel));
-    EXPECT_EQ(tabulatedAddresses(*second).front().second->table,
-              table.lock());
-    first.reset();
-    EXPECT_FALSE(table.expired());
-    second.reset();
-    EXPECT_TRUE(table.expired());
-
-    // A later decode tabulates afresh, to the same values.
-    const sim::MicroProgram third = sim::compileMicroProgram(kernel);
-    EXPECT_EQ(*tabulatedAddresses(third).front().second->table, values);
-}
-
-TEST(MicroOpTables, ParallelDecodeRunsLikeSerialDecode)
-{
-    std::vector<kernels::MatmulConfig> configs;
-    for (int stages : {1, 2}) {
-        auto cfg = baseConfig(tilus::uint4());
-        cfg.stages = stages;
-        configs.push_back(cfg);
-    }
-    {
-        auto cfg = baseConfig(tilus::uint4());
-        cfg.stages = 1;
-        cfg.group_size = 64;
-        configs.push_back(cfg);
-    }
-    {
-        auto cfg = baseConfig(tilus::float16());
-        cfg.stages = 2;
-        configs.push_back(cfg);
-    }
-    std::vector<lir::Kernel> kernels;
-    for (const kernels::MatmulConfig &cfg : configs)
-        for (int outers : {1, 2, 0})
-            kernels.push_back(compileProbe(cfg, outers));
-    const size_t n = kernels.size();
-
-    auto trace = [](const lir::Kernel &kernel,
-                    const sim::MicroProgram &program) {
-        ir::Env env;
-        for (const Var &p : kernel.params)
-            env.bind(p, p.name() == "m" ? 16 : 0);
-        return sim::traceOneBlock(kernel, env, &program);
-    };
-    std::vector<sim::SimStats> want;
-    for (const lir::Kernel &kernel : kernels) {
-        // Each serial program, and its tables, dies before the next
-        // step, so the parallel decode below starts from no tables.
-        const sim::MicroProgram program = sim::compileMicroProgram(kernel);
-        ASSERT_TRUE(program.ok()) << program.fallbackReason();
-        want.push_back(trace(kernel, program));
-    }
-
-    // Two decodes of every kernel on four threads race on each table.
-    std::vector<std::unique_ptr<sim::MicroProgram>> programs(2 * n);
-    cache::parallelFor(
-        static_cast<int64_t>(2 * n),
-        [&](int64_t i) {
-            programs[i] = std::make_unique<sim::MicroProgram>(
-                sim::compileMicroProgram(kernels[i % n]));
-        },
-        /*threads=*/4);
-    for (size_t i = 0; i < 2 * n; ++i) {
-        ASSERT_TRUE(programs[i]->ok()) << programs[i]->fallbackReason();
-        expectStatsEqual(trace(kernels[i % n], *programs[i]), want[i % n]);
-    }
-    for (size_t i = 0; i < n; ++i) {
-        auto a = tabulatedAddresses(*programs[i]);
-        auto b = tabulatedAddresses(*programs[i + n]);
-        ASSERT_EQ(a.size(), b.size());
-        for (size_t j = 0; j < a.size(); ++j)
-            EXPECT_EQ(a[j].second->table, b[j].second->table);
-    }
-
-    // The shared tables also run functionally like the tree walk.
-    opt::OracleConfig config;
-    config.scalars = {{"m", 16}};
-    for (const lir::Kernel &kernel : kernels) {
-        opt::OracleReport report = opt::diffEngines(kernel, config);
-        EXPECT_TRUE(report.identical) << kernel.name << ": " << report.detail;
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -284,12 +284,13 @@ TEST(Timing, ExtrapolatedProbeMatchesFullTrace)
     cfg.n = 1024;
     cfg.k = 2048; // small enough to trace fully
     auto probe_est = autotune::estimateConfig(rt, cfg, 16);
-    auto bundle = kernels::buildMatmul(cfg);
-    const lir::Kernel &kernel = rt.getOrCompile(bundle.main_program, {});
-    std::vector<runtime::KernelArg> args;
-    for (const Var &p : bundle.main_program.params)
-        args.push_back({p, p.name() == "m" ? int64_t(16) : int64_t(0)});
-    auto full_est = rt.estimate(kernel, args);
+    const lir::Kernel &kernel =
+        rt.getOrCompile(kernels::buildMatmul(cfg).main_program, {});
+    ir::Env env;
+    for (const Var &p : kernel.params)
+        env.bind(p, p.name() == "m" ? 16 : 0);
+    auto full_est = sim::estimateLatency(
+        kernel, sim::traceOneBlock(kernel, env), env, rt.spec());
     EXPECT_NEAR(probe_est.total_us, full_est.total_us,
                 0.05 * full_est.total_us);
 }
