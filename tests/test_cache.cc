@@ -3,6 +3,8 @@
  * The content-addressed kernel cache and persistent autotune database
  * (src/cache/): fingerprint stability across rebuilds, exhaustive
  * byte-identical LIR serialization round trips over the kernel suite,
+ * wire-format pins (a hand-built kernel holding every op, the fuzz
+ * corpus's checked-in payloads, a fixed tune record's blob digest),
  * whole-DRAM oracle equivalence of deserialized kernels, the on-disk
  * tier's corruption/version robustness (always a miss, never a crash),
  * Runtime integration across simulated process restarts, tune-database
@@ -18,6 +20,7 @@
 #include <thread>
 
 #include "autotune/tuner.h"
+#include "cache/blob_store.h"
 #include "cache/compile_pool.h"
 #include "obs/metrics.h"
 #include "support/fault.h"
@@ -25,8 +28,10 @@
 #include "cache/kernel_cache.h"
 #include "cache/serialize.h"
 #include "cache/tune_db.h"
+#include "fuzz/fuzz.h"
 #include "kernels/elementwise.h"
 #include "kernels/matmul.h"
+#include "layout/atoms.h"
 #include "opt/oracle.h"
 #include "sim/gpu_spec.h"
 #include "sim/microop.h"
@@ -59,6 +64,25 @@ struct TempDir
         std::filesystem::remove_all(path, ec);
     }
 };
+
+/** The whole content of the file at @p path. */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream oss;
+    oss << in.rdbuf();
+    return oss.str();
+}
+
+/** Hex digest of @p bytes (the pins below compare these). */
+std::string
+digestOf(const std::string &bytes)
+{
+    cache::Hasher h;
+    h.str(bytes);
+    return h.digest().hex();
+}
 
 MatmulConfig
 tensorCoreConfig(DataType wdtype)
@@ -272,6 +296,147 @@ TEST(Serialize, CorruptPayloadThrowsFormatError)
     // Trailing garbage is rejected too.
     EXPECT_THROW(cache::deserializeKernel(bytes + "x"),
                  cache::CacheFormatError);
+}
+
+// ------------------------------------------------------ wire-format pins
+//
+// Round trips alone would pass a format change made the same way on
+// both sides; these compare against bytes fixed outside the serializer.
+
+/** A hand-built kernel holding all nineteen leaf ops, every body node,
+    a tensor with a composite layout, a global and all three kinds of
+    variable reference, each field a distinct value. */
+lir::Kernel
+everyOpKernel()
+{
+    ir::Var n = ir::Var::make("n", int32());
+    ir::Var ptr = ir::Var::make("ptr", int64());
+    ir::Var i = ir::Var::make("i", int32());
+    ir::Expr tid = lir::tidVar();
+    ir::Expr addr = ir::Expr(ptr) + tid * 16 + ir::Expr(lir::blockIdxVar(0));
+    ir::Expr pred = ir::makeSelect(tid < ir::Expr(n), ir::constInt(1),
+                                   ir::constInt(0));
+    lir::Kernel k;
+    k.name = "every_op";
+    k.sm_arch = 86;
+    k.block_threads = 64;
+    k.params = {ptr, n};
+    k.grid = {ir::Expr(n) / 4, ir::constInt(3)};
+    k.block_index_vars = {lir::blockIdxVar(0)};
+    k.main_loop_extent = ir::Expr(n) % 7;
+    k.smem_bytes = 4096;
+    k.workspace_bytes = 512;
+    k.tensors.push_back(
+        {5, "frag", float16(), atoms::mmaM16N8K16A(), 2, 128});
+    k.globals.push_back(
+        {9, "w", uint4(), {ir::Expr(n), ir::constInt(128)}});
+    k.num_storages = 3;
+
+    auto body = std::make_shared<lir::LBody>();
+    lir::push(*body, lir::LoadGlobalVec{5, 8, addr, 16, pred, 9});
+    lir::push(*body, lir::StoreGlobalVec{5, 24, addr + 4, 8, nullptr, 9});
+    lir::push(*body, lir::LoadGlobalBits{5, 3, addr * 8, 4, 9});
+    lir::push(*body, lir::StoreGlobalBits{5, 7, addr * 8 + 4, 2, -1});
+    lir::push(*body, lir::LoadSharedVec{5, 32, tid * 4, 4, true});
+    lir::push(*body, lir::StoreSharedVec{5, 40, tid * 2, 2, pred});
+    lir::push(*body, lir::CpAsync{tid * 16, addr, 16, pred,
+                                  ir::makeUnary(ir::UnaryOp::kNot, pred),
+                                  9});
+    lir::push(*body, lir::CpAsyncCommit{});
+    lir::push(*body, lir::CpAsyncWait{1});
+    lir::push(*body, lir::BarSync{});
+    lir::push(*body, lir::MmaTile{1, 2, 3, 4, 16, 8, 16, 10, 20, 30, 40});
+    lir::push(*body, lir::SimtDot{1, 2, 3, 3, {{0, 1, 2}, {3, 4, 5}}});
+    lir::push(*body, lir::EltwiseBinary{3, 1, 2, 2, {0, 0, 1, 1}});
+    lir::push(*body,
+              lir::EltwiseScalar{3, 3, 1, ir::constFloat(0.5, float16())});
+    lir::push(*body, lir::EltwiseUnary{3, 3, 1});
+    lir::push(*body, lir::CastTensor{4, 3, true});
+    lir::push(*body, lir::InitTensor{3, -1.25});
+    lir::push(*body, lir::PrintTensor{3});
+    body->push_back(lir::LNode{lir::LAssign{i, ir::Expr(i) + 1}});
+    body->push_back(lir::LNode{lir::LBreak{}});
+    body->push_back(lir::LNode{lir::LContinue{}});
+
+    auto then_body = std::make_shared<lir::LBody>();
+    lir::push(*then_body, lir::ExitOp{});
+    auto while_body = std::make_shared<lir::LBody>();
+    lir::push(*while_body, lir::BarSync{});
+    k.body.push_back(lir::LNode{lir::LFor{i, ir::Expr(n), body}});
+    k.body.push_back(lir::LNode{
+        lir::LIf{ir::Expr(n) > ir::constInt(2), then_body, nullptr}});
+    k.body.push_back(lir::LNode{lir::LIf{
+        ir::Expr(n) == ir::constInt(2), then_body, while_body}});
+    k.body.push_back(lir::LNode{
+        lir::LWhile{ir::Expr(i) < ir::Expr(n), while_body}});
+    return k;
+}
+
+TEST(WireFormat, EveryOpKernelHasPinnedBytes)
+{
+    const std::string bytes = cache::serializeKernel(everyOpKernel());
+    EXPECT_EQ(bytes.size(), 1949u);
+    EXPECT_EQ(digestOf(bytes), "622024a395279f510ce88c98091b7ace");
+    EXPECT_EQ(cache::serializeKernel(cache::deserializeKernel(bytes)),
+              bytes);
+}
+
+TEST(WireFormat, CorpusPayloadsReserializeByteForByte)
+{
+    // The checked-in fuzz corpus holds payloads written by earlier
+    // builds: decoding and re-encoding each must give back its bytes.
+    int checked = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::filesystem::path(__FILE__).parent_path() / "corpus")) {
+        if (entry.path().extension() != ".lirk")
+            continue;
+        std::string payload, why;
+        ASSERT_EQ(cache::readBlobFile(entry.path().string(),
+                                      fuzz::kCorpusMagic,
+                                      cache::kCacheFormatVersion, &payload,
+                                      &why),
+                  cache::BlobRead::kHit)
+            << entry.path() << ": " << why;
+        EXPECT_EQ(cache::serializeKernel(cache::deserializeKernel(payload)),
+                  payload)
+            << entry.path();
+        ++checked;
+    }
+    EXPECT_GE(checked, 5);
+}
+
+/** A tune record with a distinct value in every field. */
+cache::TuneRecord
+pinnedTuneRecord()
+{
+    cache::TuneRecord record;
+    record.config = tensorCoreConfig(float6e3m2());
+    record.config.group_size = 64;
+    record.config.convert_via_smem = true;
+    record.latency = {12.5, 3.25, 1.5, 4.0, 0.0, 2.75,
+                      0.5,  1.0,  3.0, true, 96, 1.75};
+    record.candidates_tried = 3;
+    cache::TuneCandidate simt{simtConfig(int6()), record.latency};
+    simt.latency.total_us = 40.0;
+    simt.latency.pipelined = false;
+    simt.config.transform_weights = false;
+    record.candidates = {{record.config, record.latency}, simt};
+    return record;
+}
+
+TEST(WireFormat, TuneRecordBlobHasPinnedDigest)
+{
+    TempDir dir;
+    cache::TuneDb db(dir.path);
+    cache::Fingerprint key;
+    key.lo = 0x7e57;
+    db.store(key, pinnedTuneRecord());
+    const std::string blob = readFile(db.entryPath(key));
+    EXPECT_EQ(blob.size(), 568u);
+    EXPECT_EQ(digestOf(blob), "941972e039ee0889782a3a24336f6422");
+    std::optional<cache::TuneRecord> loaded = db.load(key);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->candidates.size(), 2u);
 }
 
 // --------------------------------------------------------- disk tier
