@@ -10,9 +10,10 @@
 #include <unistd.h>
 
 #include "cache/codec.h"
-#include "cache/fingerprint.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "support/fault.h"
+#include "support/logging.h"
 #include "support/retry.h"
 
 namespace tilus {
@@ -77,7 +78,7 @@ readBlobFile(const std::string &path, uint32_t magic, uint32_t version,
     // damage would.
     if (!blob.empty() && fault::maybeFail("cache.disk.corrupt"))
         blob[blob.size() / 2] ^= 0x01;
-    ByteReader header(blob);
+    ByteReader header(blob, "blob header");
     if (blob.size() < kHeaderBytes)
         return corrupt("truncated header");
     if (header.u32() != magic)
@@ -181,6 +182,85 @@ writeBlobAtomic(const std::string &path, uint32_t magic,
                 .add(1);
         return writeBlobOnce(tmp, path, blob);
     });
+}
+
+BlobStore::BlobStore(std::string dir, bool enabled, const StoreKind &kind)
+    : kind_(kind), dir_(std::move(dir)), enabled_(enabled)
+{
+    if (!enabled_)
+        return;
+    std::error_code ec;
+    std::filesystem::create_directories(dir_ + "/" + kind_.subdir, ec);
+    if (ec) {
+        warn(std::string(kind_.label) + " disabled: cannot create " + dir_ +
+             ": " + ec.message());
+        enabled_ = false;
+    }
+}
+
+std::string
+BlobStore::entryPath(const Fingerprint &key) const
+{
+    return dir_ + "/" + kind_.subdir + "/" + key.hex() + kind_.extension;
+}
+
+bool
+BlobStore::load(const Fingerprint &key, uint32_t version,
+                const std::function<void(const std::string &)> &decode)
+{
+    obs::Span span("cache", kind_.load_span);
+    if (span.live())
+        span.arg(kind_.key_arg, key.hex());
+    auto outcome = [&](const char *name, int64_t CacheStats::*stat) {
+        obs::Registry::instance()
+            .counter(kind_.counter + std::string(name) + "_total")
+            .add();
+        span.arg("outcome", name);
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++(stats_.*stat);
+    };
+    std::string payload, why;
+    switch (enabled_ ? readBlobFile(entryPath(key), kind_.magic, version,
+                                    &payload, &why)
+                     : BlobRead::kMissing) {
+      case BlobRead::kMissing:
+        outcome(kind_.miss, &CacheStats::disk_misses);
+        return false;
+      case BlobRead::kCorrupt:
+        break; // rejected below
+      case BlobRead::kHit:
+        try {
+            decode(payload);
+            outcome(kind_.hit, &CacheStats::disk_hits);
+            return true;
+        } catch (const TilusError &e) {
+            why = e.what();
+        }
+        break;
+    }
+    warn(std::string(kind_.label) + " entry " + key.hex() +
+         " rejected: " + why);
+    outcome("error", &CacheStats::disk_errors);
+    return false;
+}
+
+void
+BlobStore::store(const Fingerprint &key, uint32_t version,
+                 const std::string &payload)
+{
+    if (!enabled_ ||
+        !writeBlobAtomic(entryPath(key), kind_.magic, version, payload))
+        return;
+    obs::Registry::instance().counter(kind_.store_counter).add();
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.stores;
+}
+
+CacheStats
+BlobStore::stats() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stats_;
 }
 
 } // namespace cache

@@ -20,32 +20,23 @@
  * renamed into place, so concurrent processes never observe a partial
  * artifact. Every payload carries a header with magic, format version,
  * size, and content hash; load() verifies all four before
- * deserializing.
+ * deserializing. The store front end (paths, counters, CacheStats,
+ * rejection) is the shared BlobStore (blob_store.h).
  */
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 
-#include "cache/fingerprint.h"
+#include "cache/blob_store.h"
 #include "lir/lir.h"
 
 namespace tilus {
 namespace cache {
 
-/** Counters exposed for tests, benches, and cache diagnostics. */
-struct CacheStats
-{
-    int64_t disk_hits = 0;   ///< load() returned a kernel
-    int64_t disk_misses = 0; ///< no entry (or disabled cache)
-    int64_t disk_errors = 0; ///< entry present but rejected/corrupt
-    int64_t stores = 0;      ///< artifacts written
-};
-
 /** The persistent kernel artifact store (see file header). */
-class KernelCache
+class KernelCache : public BlobStore
 {
   public:
     /** Process-wide instance configured from the environment. */
@@ -56,9 +47,6 @@ class KernelCache
      * a miss and every store into a no-op (the TILUS_CACHE=off path).
      */
     explicit KernelCache(std::string dir, bool enabled = true);
-
-    bool enabled() const { return enabled_; }
-    const std::string &dir() const { return dir_; }
 
     /**
      * Fetch the kernel cached under @p fp, or nullptr on miss.
@@ -71,17 +59,6 @@ class KernelCache
     /** Persist @p kernel under @p fp (best-effort; errors are absorbed). */
     void store(const Fingerprint &fp, const lir::Kernel &kernel,
                uint32_t version = kCacheFormatVersion);
-
-    /** Artifact path for a fingerprint (exists or not). */
-    std::string entryPath(const Fingerprint &fp) const;
-
-    CacheStats stats() const;
-
-  private:
-    std::string dir_;
-    bool enabled_;
-    mutable std::mutex mutex_;
-    CacheStats stats_;
 };
 
 } // namespace cache

@@ -22,27 +22,23 @@
  * binds launch arguments by parameter name, so handles from any
  * equivalent build of the program keep working.
  *
- * Adding a new LIR op? Add a serializer case here (and a decoder case in
- * src/sim/microop.cc) — the exhaustive std::visit makes forgetting a
- * compile error, and the version constant in fingerprint.h must be
- * bumped whenever encodings change shape.
+ * Each leaf op is written as its stable OpTag byte followed by its
+ * fields, each encoded by its C++ type (codec.h) in the order
+ * lir::forEachField lists them; kernel headers and declarations are
+ * listed the same way, once for both directions. Adding a new LIR op?
+ * Give it an OpTag in serialize.cc and its line in lir::forEachField
+ * (and a decoder case in src/sim/microop.cc); the version constant in
+ * fingerprint.h must be bumped whenever encodings change shape.
  */
 #pragma once
 
 #include <string>
 
+#include "cache/codec.h"
 #include "lir/lir.h"
-#include "support/error.h"
 
 namespace tilus {
 namespace cache {
-
-/** Raised on any malformed payload; callers degrade it to a cache miss. */
-class CacheFormatError : public TilusError
-{
-  public:
-    explicit CacheFormatError(const std::string &msg) : TilusError(msg) {}
-};
 
 /** Encode a kernel as a self-contained binary payload. */
 std::string serializeKernel(const lir::Kernel &kernel);

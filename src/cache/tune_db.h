@@ -18,20 +18,19 @@
  * the tuner's search changes meaning, so stale records miss instead of
  * serving outdated winners.
  *
- * Same robustness contract as the kernel cache: corrupt or
+ * Same robustness contract and the same store front end as the kernel
+ * cache (BlobStore, blob_store.h): corrupt, malformed or
  * version-mismatched records degrade to a miss; writes are atomic
  * (temp + rename); TILUS_CACHE=off disables the store.
  */
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "cache/fingerprint.h"
-#include "cache/kernel_cache.h" // CacheStats
+#include "cache/blob_store.h"
 #include "kernels/matmul.h"
 #include "sim/timing.h"
 
@@ -62,7 +61,7 @@ struct TuneRecord
 };
 
 /** The persistent tuning-record store (see file header). */
-class TuneDb
+class TuneDb : public BlobStore
 {
   public:
     /** Process-wide instance configured from the environment
@@ -71,23 +70,11 @@ class TuneDb
 
     explicit TuneDb(std::string dir, bool enabled = true);
 
-    bool enabled() const { return enabled_; }
-
     /** Fetch the record stored under @p key, or nullopt on miss. */
     std::optional<TuneRecord> load(const Fingerprint &key);
 
     /** Persist @p record under @p key (best-effort). */
     void store(const Fingerprint &key, const TuneRecord &record);
-
-    std::string entryPath(const Fingerprint &key) const;
-
-    CacheStats stats() const;
-
-  private:
-    std::string dir_;
-    bool enabled_;
-    mutable std::mutex mutex_;
-    CacheStats stats_;
 };
 
 } // namespace cache

@@ -20,6 +20,7 @@
 #include <array>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -227,6 +228,65 @@ using LOp = std::variant<LoadGlobalVec, StoreGlobalVec, LoadGlobalBits,
                          MmaTile, SimtDot, EltwiseBinary, EltwiseScalar,
                          EltwiseUnary, CastTensor, InitTensor, PrintTensor,
                          ExitOp>;
+
+template <typename>
+inline constexpr bool kUnlistedOp = false;
+
+/**
+ * Apply @p fn to every field of the leaf op @p o, by reference and in
+ * wire order. This is the one list of each op's fields: the cache
+ * serializer encodes and decodes each field by its C++ type through it
+ * (src/cache/serialize.cc) and opt::forEachOpExpr visits its ir::Expr
+ * fields. @p o is a leaf-op struct or an LOp (its alternative is
+ * visited), const or not. A new leaf op adds its line here.
+ */
+template <typename Op, typename Fn>
+void
+forEachField(Op &o, Fn &&fn)
+{
+    using T = std::remove_const_t<Op>;
+    auto each = [&fn](auto &...field) { (fn(field), ...); };
+    if constexpr (std::is_same_v<T, LOp>)
+        std::visit([&fn](auto &alt) { forEachField(alt, fn); }, o);
+    else if constexpr (std::is_same_v<T, LoadGlobalVec>)
+        each(o.dst_tensor, o.dst_byte, o.addr, o.bytes, o.pred, o.global_id);
+    else if constexpr (std::is_same_v<T, StoreGlobalVec>)
+        each(o.src_tensor, o.src_byte, o.addr, o.bytes, o.pred, o.global_id);
+    else if constexpr (std::is_same_v<T, LoadGlobalBits>)
+        each(o.dst_tensor, o.dst_bit, o.bit_addr, o.bits, o.global_id);
+    else if constexpr (std::is_same_v<T, StoreGlobalBits>)
+        each(o.src_tensor, o.src_bit, o.bit_addr, o.bits, o.global_id);
+    else if constexpr (std::is_same_v<T, LoadSharedVec>)
+        each(o.dst_tensor, o.dst_byte, o.addr, o.bytes, o.via_ldmatrix);
+    else if constexpr (std::is_same_v<T, StoreSharedVec>)
+        each(o.src_tensor, o.src_byte, o.addr, o.bytes, o.pred);
+    else if constexpr (std::is_same_v<T, CpAsync>)
+        each(o.smem_addr, o.gmem_addr, o.bytes, o.pred, o.issue_pred,
+             o.global_id);
+    else if constexpr (std::is_same_v<T, CpAsyncWait>)
+        each(o.n);
+    else if constexpr (std::is_same_v<T, MmaTile>)
+        each(o.a_tensor, o.b_tensor, o.c_tensor, o.d_tensor, o.m, o.n, o.k,
+             o.a_base, o.b_base, o.c_base, o.d_base);
+    else if constexpr (std::is_same_v<T, SimtDot>)
+        each(o.a_tensor, o.b_tensor, o.c_tensor, o.d_tensor, o.macs);
+    else if constexpr (std::is_same_v<T, EltwiseBinary>)
+        each(o.dst_tensor, o.a_tensor, o.b_tensor, o.op, o.b_slot_map);
+    else if constexpr (std::is_same_v<T, EltwiseScalar>)
+        each(o.dst_tensor, o.a_tensor, o.op, o.scalar);
+    else if constexpr (std::is_same_v<T, EltwiseUnary>)
+        each(o.dst_tensor, o.a_tensor, o.op);
+    else if constexpr (std::is_same_v<T, CastTensor>)
+        each(o.dst_tensor, o.src_tensor, o.vectorized);
+    else if constexpr (std::is_same_v<T, InitTensor>)
+        each(o.dst_tensor, o.value);
+    else if constexpr (std::is_same_v<T, PrintTensor>)
+        each(o.tensor);
+    else if constexpr (!std::is_same_v<T, CpAsyncCommit> &&
+                       !std::is_same_v<T, BarSync> &&
+                       !std::is_same_v<T, ExitOp>)
+        static_assert(kUnlistedOp<T>, "list the new op's fields here");
+}
 /// @}
 
 struct LNode;

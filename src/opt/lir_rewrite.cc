@@ -8,38 +8,12 @@ using namespace tilus::lir;
 void
 forEachOpExpr(LOp &op, const std::function<void(ir::Expr &)> &fn)
 {
-    auto visit = [&](ir::Expr &e) {
-        if (e)
-            fn(e);
-    };
-    std::visit(
-        [&](auto &o) {
-            using T = std::decay_t<decltype(o)>;
-            if constexpr (std::is_same_v<T, LoadGlobalVec>) {
-                visit(o.addr);
-                visit(o.pred);
-            } else if constexpr (std::is_same_v<T, StoreGlobalVec>) {
-                visit(o.addr);
-                visit(o.pred);
-            } else if constexpr (std::is_same_v<T, LoadGlobalBits>) {
-                visit(o.bit_addr);
-            } else if constexpr (std::is_same_v<T, StoreGlobalBits>) {
-                visit(o.bit_addr);
-            } else if constexpr (std::is_same_v<T, LoadSharedVec>) {
-                visit(o.addr);
-            } else if constexpr (std::is_same_v<T, StoreSharedVec>) {
-                visit(o.addr);
-                visit(o.pred);
-            } else if constexpr (std::is_same_v<T, CpAsync>) {
-                visit(o.smem_addr);
-                visit(o.gmem_addr);
-                visit(o.pred);
-                visit(o.issue_pred);
-            } else if constexpr (std::is_same_v<T, EltwiseScalar>) {
-                visit(o.scalar);
-            }
-        },
-        op);
+    forEachField(op, [&](auto &field) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(field)>,
+                                     ir::Expr>)
+            if (field)
+                fn(field);
+    });
 }
 
 void

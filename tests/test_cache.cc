@@ -15,8 +15,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <new>
+#include <sstream>
 #include <thread>
 
 #include "autotune/tuner.h"
@@ -36,6 +39,31 @@
 #include "sim/gpu_spec.h"
 #include "sim/microop.h"
 #include "test_helpers.h"
+
+/** Largest single operator-new request since it was last reset: the
+    hostile-count tests check that no decoder sizes an allocation from
+    a count its payload cannot back. */
+static std::atomic<size_t> g_largest_new{0};
+
+void *
+operator new(size_t size)
+{
+    size_t seen = g_largest_new.load(std::memory_order_relaxed);
+    while (size > seen && !g_largest_new.compare_exchange_weak(
+                              seen, size, std::memory_order_relaxed)) {
+    }
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+// The matching deletes; GCC cannot tell that free() here pairs with
+// the malloc() in operator new above.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete(void *p, size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace tilus {
 namespace {
@@ -534,6 +562,92 @@ TEST(KernelCache, DisabledCacheMissesAndSkipsWrites)
     EXPECT_FALSE(std::filesystem::exists(cache.entryPath(fp)));
 }
 
+// ------------------------------------------- decode-level rejection
+//
+// Blobs whose header, size and payload hash are all valid but whose
+// payload is malformed: only the decoder can reject them.
+
+/** @p v as 8 little-endian bytes. */
+std::string
+le64(uint64_t v)
+{
+    std::string out(8, '\0');
+    for (int i = 0; i < 8; ++i)
+        out[i] = static_cast<char>(v >> (8 * i));
+    return out;
+}
+
+/**
+ * Replace the stored entry at @p path with @p payload behind a valid
+ * header, load it through @p load, and expect a miss that counts one
+ * disk error: no exception, no hit, and no allocation anywhere near
+ * what a hostile count claims.
+ */
+template <typename Store, typename Load>
+void
+expectRejected(Store &store, const std::string &path, uint32_t version,
+               const std::string &payload, Load load,
+               const std::string &what)
+{
+    uint32_t magic;
+    std::memcpy(&magic, readFile(path).data(), 4);
+    ASSERT_TRUE(cache::writeBlobAtomic(path, magic, version, payload));
+    const cache::CacheStats before = store.stats();
+    g_largest_new = 0;
+    bool hit = true;
+    EXPECT_NO_THROW(hit = load()) << what;
+    EXPECT_LT(g_largest_new.load(), size_t(1) << 20) << what;
+    EXPECT_FALSE(hit) << what;
+    const cache::CacheStats after = store.stats();
+    EXPECT_EQ(after.disk_errors, before.disk_errors + 1) << what;
+    EXPECT_EQ(after.disk_misses, before.disk_misses) << what;
+    EXPECT_EQ(after.disk_hits, before.disk_hits) << what;
+}
+
+TEST(KernelCache, MalformedPayloadBehindValidHeaderIsRejected)
+{
+    TempDir dir;
+    cache::KernelCache cache(dir.path);
+    cache::Fingerprint fp;
+    fp.lo = 4;
+    cache.store(fp, everyOpKernel());
+    const std::string path = cache.entryPath(fp);
+    auto load = [&] { return cache.load(fp) != nullptr; };
+    auto reject = [&](const std::string &payload, const std::string &what) {
+        expectRejected(cache, path, cache::kCacheFormatVersion, payload,
+                       load, what);
+    };
+
+    const std::string every = cache::serializeKernel(everyOpKernel());
+    for (size_t cut : {size_t(1), every.size() / 3, every.size() / 2,
+                       every.size() - 1})
+        reject(every.substr(0, cut), "cut at " + std::to_string(cut));
+    reject(every + "x", "trailing byte");
+
+    // A kernel whose last bytes are a one-node body {ExitOp}: body count
+    // (u32), node tag, op tag; its one parameter's dtype follows the
+    // parameter's name.
+    lir::Kernel tiny;
+    tiny.name = "tiny";
+    tiny.params = {ir::Var::make("dtype_probe", int32())};
+    lir::push(tiny.body, lir::ExitOp{});
+    const std::string bytes = cache::serializeKernel(tiny);
+    std::string bad_tag = bytes;
+    bad_tag.back() = 0x7e;
+    reject(bad_tag, "unknown op tag");
+    std::string bad_dtype = bytes;
+    bad_dtype[bytes.find("dtype_probe") + 11] = 0x7f;
+    reject(bad_dtype, "bad dtype kind");
+    std::string hostile = bytes;
+    hostile.replace(bytes.size() - 6, 4, "\xff\xff\xff\xff");
+    reject(hostile, "body count 2^32-1");
+
+    // The intact payload still loads.
+    ASSERT_TRUE(cache::writeBlobAtomic(
+        path, 0x544c4b43, cache::kCacheFormatVersion, bytes));
+    EXPECT_NE(cache.load(fp), nullptr);
+}
+
 // --------------------------------------------------- runtime integration
 
 TEST(RuntimeCache, DiskTierSurvivesProcessRestart)
@@ -739,6 +853,45 @@ TEST(TuneDb, CorruptRecordDegradesToMiss)
     std::ofstream(path, std::ios::binary | std::ios::trunc) << corrupt;
     EXPECT_FALSE(db.load(key).has_value());
     EXPECT_EQ(db.stats().disk_errors, 2);
+}
+
+TEST(TuneDb, MalformedRecordBehindValidHeaderIsRejected)
+{
+    TempDir dir;
+    cache::TuneDb db(dir.path);
+    cache::Fingerprint key;
+    key.lo = 10;
+    // The candidate count follows the winner and candidates_tried: the
+    // last eight bytes of a record with no candidates.
+    cache::TuneRecord record = pinnedTuneRecord();
+    record.candidates.clear();
+    db.store(key, record);
+    const size_t count_at = readFile(db.entryPath(key)).size() - 24 - 8;
+    db.store(key, pinnedTuneRecord());
+    const std::string path = db.entryPath(key);
+    const std::string good = readFile(path).substr(24);
+    auto load = [&] { return db.load(key).has_value(); };
+    auto reject = [&](const std::string &payload, const std::string &what) {
+        expectRejected(db, path, cache::kTuneDbVersion, payload, load, what);
+    };
+
+    for (size_t cut : {size_t(1), size_t(87), good.size() / 2,
+                       good.size() - 1})
+        reject(good.substr(0, cut), "cut at " + std::to_string(cut));
+    reject(good + "x", "trailing byte");
+    std::string bad_dtype = good;
+    bad_dtype[0] = 0x7f;
+    reject(bad_dtype, "bad dtype kind");
+    for (uint64_t count : {uint64_t(1) << 20, (uint64_t(1) << 20) + 1,
+                           ~uint64_t(0)}) {
+        std::string hostile = good;
+        hostile.replace(count_at, 8, le64(count));
+        reject(hostile, "candidate count " + std::to_string(count));
+    }
+
+    ASSERT_TRUE(cache::writeBlobAtomic(path, 0x544c544e,
+                                       cache::kTuneDbVersion, good));
+    EXPECT_TRUE(db.load(key).has_value());
 }
 
 // --------------------------------------------------------- concurrency
