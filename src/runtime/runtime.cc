@@ -169,8 +169,6 @@ Runtime::getOrCompile(const ir::Program &program,
 const sim::MicroProgram *
 Runtime::cachedProgram(const lir::Kernel &kernel)
 {
-    if (sim::resolveEngine(sim::Engine::kAuto) == sim::Engine::kTreeWalk)
-        return nullptr;
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(&kernel);
     if (it == entries_.end())

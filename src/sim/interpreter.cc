@@ -1,7 +1,6 @@
 #include "sim/interpreter.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -649,40 +648,7 @@ BlockExecutor::printTensor(int tensor_id)
     });
 }
 
-/**
- * The engine used when RunOptions::engine is kAuto: the micro-op engine
- * unless TILUS_SIM_ENGINE=treewalk overrides it (read once per process;
- * used for A/B wall-clock comparisons of whole suites, see
- * bench/bench_interp.cc).
- */
-Engine
-defaultEngine()
-{
-    static const Engine engine = [] {
-        const char *env = std::getenv("TILUS_SIM_ENGINE");
-        if (env != nullptr) {
-            std::string value(env);
-            if (value == "treewalk")
-                return Engine::kTreeWalk;
-            if (value == "microop")
-                return Engine::kMicroOps;
-            TILUS_FATAL_IF(!value.empty() && value != "auto",
-                           "TILUS_SIM_ENGINE must be auto, treewalk, or "
-                           "microop (got '"
-                               << value << "')");
-        }
-        return Engine::kAuto;
-    }();
-    return engine;
-}
-
 } // namespace
-
-Engine
-resolveEngine(Engine requested)
-{
-    return requested == Engine::kAuto ? defaultEngine() : requested;
-}
 
 SimStats
 run(const lir::Kernel &kernel, ir::Env args, Device *device,
@@ -716,13 +682,11 @@ run(const lir::Kernel &kernel, ir::Env args, Device *device,
     SimStats stats;
 
     // Engine selection: ghost traces walk the tree. Functional runs use
-    // the pre-decoded micro-ops unless the caller (or the
-    // TILUS_SIM_ENGINE override) forces the tree walk. The decoded
-    // program is reused from the runtime cache when provided, decoded
-    // once per run() call otherwise.
-    Engine engine = options.mode == MemoryMode::kGhost
-                        ? Engine::kTreeWalk
-                        : resolveEngine(options.engine);
+    // the pre-decoded micro-ops unless the caller forces the tree walk.
+    // The decoded program is reused from the runtime cache when
+    // provided, decoded once per run() call otherwise.
+    Engine engine = options.mode == MemoryMode::kGhost ? Engine::kTreeWalk
+                                                       : options.engine;
     std::unique_ptr<MicroProgram> decoded_here;
     const MicroProgram *program = nullptr;
     if (engine != Engine::kTreeWalk) {

@@ -43,9 +43,7 @@ enum class MemoryMode
 /**
  * Which execution engine runs a functional launch. kAuto prefers the
  * pre-decoded micro-op engine (sim/microop.h) and falls back to the
- * tree-walk interpreter when the kernel is not decodable; the environment
- * variable TILUS_SIM_ENGINE=treewalk|microop overrides kAuto
- * (benchmarking and A/B timing of whole test suites). Ghost traces
+ * tree-walk interpreter when the kernel is not decodable. Ghost traces
  * always walk the tree: a trace runs one block, too few to repay a
  * decode.
  */
@@ -55,14 +53,6 @@ enum class Engine
     kMicroOps, ///< require the micro-op engine (panics if undecodable)
     kTreeWalk, ///< force the legacy tree-walk interpreter
 };
-
-/**
- * Resolve kAuto against the TILUS_SIM_ENGINE process override
- * (treewalk|microop|auto). Callers that pay a decode cost up front
- * (runtime::Runtime's program cache) use this to skip it when the
- * process is pinned to the tree walk.
- */
-Engine resolveEngine(Engine requested);
 
 /** Options for a kernel execution or trace. */
 struct RunOptions

@@ -303,8 +303,6 @@ undecodableKernel()
 
 TEST(MicroOpFallback, UndecodableKernelFallsBackToTreeWalk)
 {
-    if (sim::resolveEngine(sim::Engine::kAuto) != sim::Engine::kAuto)
-        GTEST_SKIP() << "TILUS_SIM_ENGINE pins the engine";
     lir::Kernel kernel = undecodableKernel();
     sim::MicroProgram program = sim::compileMicroProgram(kernel);
     EXPECT_FALSE(program.ok());
@@ -333,8 +331,6 @@ TEST(MicroOpFallback, ForcedMicroOpsOnUndecodableKernelThrows)
 
 TEST(MicroOpRuntime, LaunchUsesCachedProgram)
 {
-    if (sim::resolveEngine(sim::Engine::kAuto) == sim::Engine::kTreeWalk)
-        GTEST_SKIP() << "TILUS_SIM_ENGINE pins the tree walk";
     auto cfg = baseConfig(tilus::uint4());
     cfg.stages = 1;
     runtime::Runtime rt(sim::l40s());
