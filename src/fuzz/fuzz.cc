@@ -10,25 +10,10 @@
 #include "fuzz/generator.h"
 #include "obs/metrics.h"
 #include "opt/pass_manager.h"
-#include "sim/microop.h"
 #include "support/error.h"
 
 namespace tilus {
 namespace fuzz {
-
-namespace {
-
-uint64_t
-mix64(uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 uint64_t
 nextSeed(uint64_t seed)
@@ -99,21 +84,7 @@ checkCorpusKernel(const lir::Kernel &kernel,
     lir::Kernel k2 = cache::deserializeKernel(bytes);
     opt::PassManager::standardPipeline(compiler::OptLevel::O2).run(k2);
     lir::Kernel rt2 = cache::deserializeKernel(cache::serializeKernel(k2));
-
-    auto engineFor = [](const lir::Kernel &k) {
-        return sim::compileMicroProgram(k).ok() ? sim::Engine::kMicroOps
-                                                : sim::Engine::kTreeWalk;
-    };
-    return opt::diffLegs(
-        {
-            {"O0/treewalk", &kernel, sim::Engine::kTreeWalk},
-            {"O0/microop", &kernel, engineFor(kernel)},
-            {"O0/roundtrip/treewalk", &rt0, sim::Engine::kTreeWalk},
-            {"O2/treewalk", &k2, sim::Engine::kTreeWalk},
-            {"O2/microop", &k2, engineFor(k2)},
-            {"O2/roundtrip/microop", &rt2, engineFor(rt2)},
-        },
-        config);
+    return opt::diffLegs(sixLegs(kernel, rt0, k2, rt2), config);
 }
 
 FuzzReport

@@ -1,27 +1,17 @@
 #include "fuzz/harness.h"
 
+#include <algorithm>
+
 #include "cache/blob_store.h"
 #include "cache/serialize.h"
 #include "compiler/compiler.h"
 #include "ir/verifier.h"
-#include "sim/microop.h"
 #include "support/error.h"
 
 namespace tilus {
 namespace fuzz {
 
 namespace {
-
-/** splitmix64 finalizer: decorrelates combined hashes. */
-uint64_t
-mix64(uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 /** Flip the first elementwise binary op in @p body (kAdd <-> kSub). */
 bool
@@ -59,16 +49,33 @@ plantBugInBody(lir::LBody &body)
     return false;
 }
 
-sim::Engine
-microopOrFallback(const lir::Kernel &kernel, bool *decoded)
+} // namespace
+
+uint64_t
+mix64(uint64_t x)
 {
-    if (sim::compileMicroProgram(kernel).ok())
-        return sim::Engine::kMicroOps;
-    *decoded = false;
-    return sim::Engine::kTreeWalk;
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
 }
 
-} // namespace
+std::vector<opt::OracleLeg>
+sixLegs(const lir::Kernel &k0, const lir::Kernel &rt0,
+        const lir::Kernel &k2, const lir::Kernel &rt2)
+{
+    const sim::Engine tw = sim::Engine::kTreeWalk;
+    const sim::Engine mo = sim::Engine::kAuto;
+    return {
+        {"O0/treewalk", &k0, tw},
+        {"O0/microop", &k0, mo},
+        {"O0/roundtrip/treewalk", &rt0, tw},
+        {"O2/treewalk", &k2, tw},
+        {"O2/microop", &k2, mo},
+        {"O2/roundtrip/microop", &rt2, mo},
+    };
+}
 
 const char *
 verdictName(Verdict v)
@@ -139,25 +146,11 @@ runHarness(const ir::Program &program, const HarnessOptions &options)
         if (options.plant_engine_bug)
             plantBugInBody(k2.body);
 
-        result.microop_decoded = true;
-        const sim::Engine tw = sim::Engine::kTreeWalk;
-        const sim::Engine mo_k0 =
-            microopOrFallback(k0, &result.microop_decoded);
-        const sim::Engine mo_k2 =
-            microopOrFallback(k2, &result.microop_decoded);
-        const sim::Engine mo_rt2 =
-            microopOrFallback(rt2, &result.microop_decoded);
-
-        opt::NwayReport report = opt::diffLegs(
-            {
-                {"O0/treewalk", &k0, tw},
-                {"O0/microop", &k0, mo_k0},
-                {"O0/roundtrip/treewalk", &rt0, tw},
-                {"O2/treewalk", &k2, tw},
-                {"O2/microop", &k2, mo_k2},
-                {"O2/roundtrip/microop", &rt2, mo_rt2},
-            },
-            options.oracle);
+        opt::NwayReport report =
+            opt::diffLegs(sixLegs(k0, rt0, k2, rt2), options.oracle);
+        result.microop_decoded = std::none_of(
+            report.stats.begin(), report.stats.end(),
+            [](const sim::SimStats &s) { return s.microop_fallbacks > 0; });
         if (report.crashed) {
             result.verdict = Verdict::kCrash;
             result.failing_leg = report.failing_leg;

@@ -17,9 +17,10 @@
  *
  * The serializer's byte-identity invariant
  * (serializeKernel(deserializeKernel(b)) == b) is asserted as a seventh,
- * memory-free leg. Kernels the micro-op engine cannot decode fall back
- * to the tree walk for their "microop" legs (counted, not failed —
- * decodability is optional by design, see src/sim/README.md).
+ * memory-free leg. The "microop" legs run under sim::Engine::kAuto, so
+ * a kernel the micro-op engine cannot decode falls back to the tree
+ * walk (counted from the legs' SimStats, not failed — decodability is
+ * optional by design, see src/sim/README.md).
  *
  * Verdict taxonomy (the fuzzer's classification contract):
  *   - kVerifierReject: ir::verify threw VerifyError — the program is
@@ -36,6 +37,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "ir/program.h"
 #include "opt/oracle.h"
@@ -87,14 +89,26 @@ struct HarnessResult
         program never compiled); equal across runs iff generation and
         compilation are byte-reproducible. */
     uint64_t kernel_hash = 0;
-    /** True when the micro-op legs ran decoded; false means they fell
-        back to the tree walk (undecodable kernel). */
+    /** True when no leg that ran fell back from the micro-op engine
+        to the tree walk (undecodable kernel). */
     bool microop_decoded = false;
 };
 
 /** Run the six legs for @p program. Never throws. */
 HarnessResult runHarness(const ir::Program &program,
                          const HarnessOptions &options = {});
+
+/**
+ * The six legs (see the file comment) over an O0 kernel, its O2 twin
+ * and the cache round trips @p rt0 and @p rt2 of each.
+ */
+std::vector<opt::OracleLeg> sixLegs(const lir::Kernel &k0,
+                                    const lir::Kernel &rt0,
+                                    const lir::Kernel &k2,
+                                    const lir::Kernel &rt2);
+
+/** splitmix64 finalizer: decorrelates combined hashes and seeds. */
+uint64_t mix64(uint64_t x);
 
 } // namespace fuzz
 } // namespace tilus
