@@ -520,13 +520,7 @@ TEST(KernelCache, TruncatedAndCorruptEntriesDegradeToMiss)
     fp.lo = 2;
     cache.store(fp, kernel);
     const std::string path = cache.entryPath(fp);
-    std::string blob;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream oss;
-        oss << in.rdbuf();
-        blob = oss.str();
-    }
+    const std::string blob = readFile(path);
 
     // Truncate at several points, including inside the header.
     for (size_t cut : {size_t(3), size_t(20), blob.size() / 2,
@@ -838,13 +832,7 @@ TEST(TuneDb, CorruptRecordDegradesToMiss)
     EXPECT_EQ(loaded->candidates_tried, 7);
 
     const std::string path = db.entryPath(key);
-    std::string blob;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream oss;
-        oss << in.rdbuf();
-        blob = oss.str();
-    }
+    const std::string blob = readFile(path);
     std::ofstream(path, std::ios::binary | std::ios::trunc)
         << blob.substr(0, blob.size() / 2);
     EXPECT_FALSE(db.load(key).has_value());
@@ -1065,13 +1053,7 @@ TEST(CacheFaults, ConcurrentCorruptReadersDegradeToOneRecompile)
     {
         // Flip a payload byte on disk so every load rejects the entry.
         const std::string path = disk.entryPath(fp);
-        std::string blob;
-        {
-            std::ifstream in(path, std::ios::binary);
-            std::ostringstream oss;
-            oss << in.rdbuf();
-            blob = oss.str();
-        }
+        std::string blob = readFile(path);
         ASSERT_GT(blob.size(), 10u);
         blob[blob.size() - 10] ^= 0x40;
         std::ofstream(path, std::ios::binary | std::ios::trunc) << blob;
