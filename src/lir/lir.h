@@ -229,6 +229,7 @@ using LOp = std::variant<LoadGlobalVec, StoreGlobalVec, LoadGlobalBits,
                          EltwiseUnary, CastTensor, InitTensor, PrintTensor,
                          ExitOp>;
 
+/** False for every type; forEachField's static_assert names it. */
 template <typename>
 inline constexpr bool kUnlistedOp = false;
 

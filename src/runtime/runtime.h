@@ -112,8 +112,7 @@ class Runtime
      * The cached pre-decoded program for a kernel obtained from
      * getOrCompile, decoding it on first use (null for foreign kernels:
      * sim::run then decodes on the fly). Decodes under the runtime
-     * lock: launch, its caller, is
-     * single-threaded.
+     * lock: launch, its caller, is single-threaded.
      */
     const sim::MicroProgram *cachedProgram(const lir::Kernel &kernel);
 
