@@ -3,8 +3,9 @@
  * The on-disk tier of the two-tier kernel cache.
  *
  * The in-memory tier lives in runtime::Runtime (fingerprint-keyed map of
- * compiled kernels plus their pre-decoded micro-op programs); this class
- * owns the persistent artifact store that survives the process:
+ * compiled kernels; sim::run decodes a kernel for the micro-op engine on
+ * each functional launch); this class owns the persistent artifact store
+ * that survives the process:
  *
  *     $TILUS_CACHE_DIR/kernels/<fingerprint>.lirk
  *

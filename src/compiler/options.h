@@ -30,15 +30,14 @@ constexpr uint32_t kCompilerRevision = 1;
 /**
  * LIR optimization level (the pass pipeline of src/opt/):
  *  - O0: lowering output as-is (the differential oracle's reference);
- *  - O1: cleanup only — redundant-synchronization and dead-tensor
- *        elimination;
- *  - O2: O1 plus software pipelining of synchronous cp.async staging
- *        loops and loop-invariant address CSE (the default).
+ *  - O2: software pipelining of synchronous cp.async staging loops,
+ *        redundant-synchronization and dead-tensor elimination, and
+ *        loop-invariant address CSE (the default).
+ * The values are hashed into kernel fingerprints and tune keys.
  */
 enum class OptLevel
 {
     O0 = 0,
-    O1 = 1,
     O2 = 2,
 };
 

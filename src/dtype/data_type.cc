@@ -38,12 +38,6 @@ DataType::makeFloat(int bits, int exponent, int mantissa)
 }
 
 bool
-DataType::isStandard() const
-{
-    return bits_ == 8 || bits_ == 16 || bits_ == 32 || bits_ == 64;
-}
-
-bool
 DataType::hasIeeeSpecials() const
 {
     return isFloat() && bits_ >= 16;

@@ -66,9 +66,6 @@ class DataType
     /** True for types narrower than one byte (the low-precision family). */
     bool isSubByte() const { return bits_ < 8; }
 
-    /** True for byte-aligned power-of-two standard widths (8/16/32/64). */
-    bool isStandard() const;
-
     /**
      * True when this float type follows full IEEE-754 semantics with
      * inf/NaN encodings (f16/bf16/tf32/f32/f64). Low-precision floats use

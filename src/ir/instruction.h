@@ -338,8 +338,5 @@ class PrintInst : public Instruction
     RegTensor tensor;
 };
 
-/** Human-readable mnemonic of an instruction kind. */
-const char *instKindName(InstKind kind);
-
 } // namespace ir
 } // namespace tilus

@@ -273,22 +273,5 @@ printProgram(const Program &program)
     return printer.program(program);
 }
 
-std::string
-printStmt(const Stmt &stmt, int indent)
-{
-    // Reuse the full printer on a synthetic single-statement program body.
-    Printer printer;
-    Program prog;
-    prog.name = "_";
-    prog.body = stmt;
-    std::string whole = printer.program(prog);
-    // Drop the synthetic header line.
-    auto pos = whole.find('\n');
-    std::string body = whole.substr(pos + 1);
-    if (indent == 1)
-        return body;
-    return body; // statements are printed at indent 1 by convention
-}
-
 } // namespace ir
 } // namespace tilus

@@ -15,8 +15,5 @@ namespace ir {
 /** Render a whole program as Figure-2-style pseudo code. */
 std::string printProgram(const Program &program);
 
-/** Render a single statement subtree (at the given indent level). */
-std::string printStmt(const Stmt &stmt, int indent = 0);
-
 } // namespace ir
 } // namespace tilus

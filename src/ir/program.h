@@ -28,17 +28,6 @@ class Program
 
     /** Threads per block: warps x 32. */
     int blockThreads() const { return num_warps * 32; }
-
-    /** Resolve the launch grid under bound parameter values. */
-    std::vector<int64_t>
-    resolveGrid(const Env &env) const
-    {
-        std::vector<int64_t> dims;
-        dims.reserve(grid.size());
-        for (const Expr &e : grid)
-            dims.push_back(evalInt(e, env));
-        return dims;
-    }
 };
 using ProgramPtr = std::shared_ptr<const Program>;
 

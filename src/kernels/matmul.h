@@ -105,19 +105,6 @@ struct MatmulBundle
     std::optional<ir::Program> transform_program;
     ir::Var t_in_ptr;
     ir::Var t_out_ptr;
-
-    /**
-     * Compile the main program outside a Runtime cache (benches, the
-     * differential oracle); callers pin the LIR pass-pipeline level via
-     * options.opt_level. Note that a stages == 1 configuration compiled
-     * at the default O2 is software-pipelined by the optimizer even
-     * though the template emitted it synchronously.
-     */
-    lir::Kernel
-    compileMain(const compiler::CompileOptions &options = {}) const
-    {
-        return compiler::compile(main_program, options);
-    }
 };
 
 /** Build the matmul (and transform) programs for a configuration. */

@@ -1,9 +1,8 @@
 /**
  * @file
- * The process-wide metrics registry: named counters, gauges, and
- * log2-bucketed histograms shared by every subsystem (kernel-cache
- * hit/miss, tune-db warm/cold, compile-pool depth, micro-op fallbacks,
- * serving preemptions, ...).
+ * The process-wide metrics registry: named counters and gauges shared
+ * by every subsystem (kernel-cache hit/miss, tune-db warm/cold,
+ * compile-pool depth, micro-op fallbacks, serving preemptions, ...).
  *
  * Fast path: a metric handle is an atomic the caller keeps a reference
  * to (registration returns a stable reference; look it up once via a
@@ -75,74 +74,6 @@ class Gauge
     std::atomic<double> value_{0};
 };
 
-/**
- * A histogram over power-of-two buckets: observation v lands in the
- * first bucket whose upper bound 2^i satisfies v <= 2^i (v <= 1 lands
- * in bucket 0; anything larger than 2^62 in the last). Buckets, count,
- * and sum are individually atomic — concurrent observes never lose an
- * event, though a dump racing an observe may see count and sum one
- * event apart (acceptable for diagnostics).
- */
-class Histogram
-{
-  public:
-    static constexpr int kBuckets = 64;
-
-    void
-    observe(double v)
-    {
-        int b = 0;
-        double bound = 1.0;
-        while (b + 1 < kBuckets && v > bound) {
-            bound *= 2.0;
-            ++b;
-        }
-        buckets_[b].fetch_add(1, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
-        double cur = sum_.load(std::memory_order_relaxed);
-        while (!sum_.compare_exchange_weak(cur, cur + v,
-                                           std::memory_order_relaxed)) {
-        }
-    }
-
-    int64_t count() const { return count_.load(std::memory_order_relaxed); }
-    double sum() const { return sum_.load(std::memory_order_relaxed); }
-
-    int64_t
-    bucketCount(int i) const
-    {
-        return buckets_[i].load(std::memory_order_relaxed);
-    }
-
-    /** Upper bound of bucket @p i (2^i). */
-    static double bucketBound(int i);
-
-    /**
-     * Estimated @p pct-th percentile (0..100) by linear interpolation
-     * inside the power-of-two bucket holding that rank (samples
-     * assumed uniform within a bucket; a lone sample reports the
-     * bucket midpoint). Coarse — bounded by the bucket width, i.e. a
-     * factor of 2 — but free, derived from counts already kept. The
-     * JSON and Prometheus dumps expose p50/p95/p99 from this. For
-     * relative-error-bounded quantiles use obs::QuantileSketch.
-     */
-    double quantile(double pct) const;
-
-    void
-    zero()
-    {
-        for (auto &b : buckets_)
-            b.store(0, std::memory_order_relaxed);
-        count_.store(0, std::memory_order_relaxed);
-        sum_.store(0, std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<int64_t> buckets_[kBuckets] = {};
-    std::atomic<int64_t> count_{0};
-    std::atomic<double> sum_{0};
-};
-
 /** The process-wide metric store (see file header). */
 class Registry
 {
@@ -156,7 +87,6 @@ class Registry
         registry's lifetime. */
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name);
 
     /** Value of a registered counter, 0 when absent (bench summaries). */
     int64_t counterValue(const std::string &name) const;
@@ -180,7 +110,6 @@ class Registry
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 } // namespace obs

@@ -1,7 +1,5 @@
 #include "opt/pass_manager.h"
 
-#include <sstream>
-
 #include "cache/fingerprint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -61,12 +59,9 @@ PassManager::runImpl(lir::Kernel &kernel, const ir::Env *args,
     records_.push_back(std::move(baseline));
 
     bool any = false;
-    std::string before_text;
     for (const std::unique_ptr<Pass> &pass : passes_) {
         PassRecord record;
         record.name = pass->name();
-        if (record_ir_)
-            before_text = lir::printKernel(kernel);
         {
             obs::Span pass_span("opt", record.name);
             record.changed = pass->run(kernel);
@@ -79,9 +74,6 @@ PassManager::runImpl(lir::Kernel &kernel, const ir::Env *args,
                 .counter("opt_passes_changed_total")
                 .add();
         any |= record.changed;
-        if (record_ir_ && record.changed)
-            record.ir_diff =
-                diffListings(before_text, lir::printKernel(kernel));
         instrument(record);
         records_.push_back(std::move(record));
     }
@@ -112,52 +104,14 @@ PassManager::standardPipeline(compiler::OptLevel level)
     PassManager pm;
     if (level == compiler::OptLevel::O0)
         return pm;
-    if (level >= compiler::OptLevel::O2)
-        pm.add(createSoftwarePipelinePass());
+    pm.add(createSoftwarePipelinePass());
     pm.add(createSyncEliminationPass());
     // dead-tensor before addr-hoist: hoisting an address used only by
     // a dead load would leave an orphaned preheader assignment no
     // later pass can remove.
     pm.add(createDeadTensorPass());
-    if (level >= compiler::OptLevel::O2)
-        pm.add(createAddressHoistPass());
+    pm.add(createAddressHoistPass());
     return pm;
-}
-
-std::string
-diffListings(const std::string &before, const std::string &after)
-{
-    auto split = [](const std::string &text) {
-        std::vector<std::string> lines;
-        std::istringstream iss(text);
-        std::string line;
-        while (std::getline(iss, line))
-            lines.push_back(line);
-        return lines;
-    };
-    const std::vector<std::string> a = split(before);
-    const std::vector<std::string> b = split(after);
-
-    // Common prefix/suffix; everything between is reported verbatim.
-    size_t prefix = 0;
-    while (prefix < a.size() && prefix < b.size() &&
-           a[prefix] == b[prefix])
-        ++prefix;
-    size_t suffix = 0;
-    while (suffix < a.size() - prefix && suffix < b.size() - prefix &&
-           a[a.size() - 1 - suffix] == b[b.size() - 1 - suffix])
-        ++suffix;
-
-    std::ostringstream oss;
-    if (prefix > 0)
-        oss << "@@ " << prefix << " common leading line(s)\n";
-    for (size_t i = prefix; i < a.size() - suffix; ++i)
-        oss << "- " << a[i] << "\n";
-    for (size_t i = prefix; i < b.size() - suffix; ++i)
-        oss << "+ " << b[i] << "\n";
-    if (suffix > 0)
-        oss << "@@ " << suffix << " common trailing line(s)\n";
-    return oss.str();
 }
 
 } // namespace opt

@@ -1,10 +1,9 @@
 /**
  * @file
  * The PassManager composes named LIR passes into a pipeline, records a
- * per-pass report (changed flag, printKernel diff when IR recording is
- * on, and per-pass SimStats/latency when run instrumented against a GPU
- * spec), and provides the standard pipelines behind
- * CompileOptions::opt_level. compiler::compile runs the standard
+ * per-pass report (changed flag, and per-pass SimStats/latency when run
+ * instrumented against a GPU spec), and provides the standard pipelines
+ * behind CompileOptions::opt_level. compiler::compile runs the standard
  * pipeline after lowering; benches and tests run it explicitly to
  * inspect per-pass deltas.
  */
@@ -28,9 +27,6 @@ struct PassRecord
 {
     std::string name;   ///< pass name ("<input>" for the baseline row)
     bool changed = false;
-    /** Unified-style listing diff (only when IR recording is enabled
-        and the pass changed something). */
-    std::string ir_diff;
     /** Traced one-block stats after this pass (instrumented runs). */
     sim::SimStats stats;
     /** Latency estimate after this pass (instrumented runs). */
@@ -43,9 +39,6 @@ class PassManager
   public:
     /** Append a pass; returns *this for chaining. */
     PassManager &add(std::unique_ptr<Pass> pass);
-
-    /** Record printKernel diffs for changed passes (off by default). */
-    void setRecordIr(bool record) { record_ir_ = record; }
 
     /** Run every pass in order; true iff any pass changed the kernel. */
     bool run(lir::Kernel &kernel);
@@ -71,16 +64,7 @@ class PassManager
 
     std::vector<std::unique_ptr<Pass>> passes_;
     std::vector<PassRecord> records_;
-    bool record_ir_ = false;
 };
-
-/**
- * Minimal line-oriented diff between two printKernel listings: removed
- * lines prefixed "-", added lines prefixed "+", common context elided.
- * Meant for humans reviewing what a pass did, not for machines.
- */
-std::string diffListings(const std::string &before,
-                         const std::string &after);
 
 } // namespace opt
 } // namespace tilus

@@ -116,7 +116,7 @@ Runtime::getOrCompile(const ir::Program &program,
             obs::Registry::instance()
                 .counter("runtime_memory_hit_total")
                 .add();
-            return *it->second.kernel;
+            return *it->second;
         }
     }
 
@@ -127,15 +127,15 @@ Runtime::getOrCompile(const ir::Program &program,
     // Materialize outside the lock: compilation (and disk I/O) is the
     // expensive part, and the compile pool runs many of these
     // concurrently. A lost race on insertion just discards a duplicate.
-    CachedKernel entry;
+    std::unique_ptr<lir::Kernel> kernel;
     bool from_disk = false;
     bool degraded = false;
     if (disk_cache_) {
-        entry.kernel = disk_cache_->load(fp);
-        from_disk = entry.kernel != nullptr;
+        kernel = disk_cache_->load(fp);
+        from_disk = kernel != nullptr;
     }
-    if (!entry.kernel)
-        entry.kernel = compileWithRetry(program, options, &degraded);
+    if (!kernel)
+        kernel = compileWithRetry(program, options, &degraded);
     span.arg("outcome", from_disk  ? "disk-hit"
                         : degraded ? "compiled-degraded"
                                    : "compiled");
@@ -146,42 +146,23 @@ Runtime::getOrCompile(const ir::Program &program,
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = cache_.find(fp);
         if (it != cache_.end())
-            return *it->second.kernel; // another thread won the race
+            return *it->second; // another thread won the race
         if (from_disk)
             ++disk_load_count_;
         else
             ++compile_count_;
-        auto [pos, inserted] = cache_.emplace(fp, std::move(entry));
+        auto [pos, inserted] = cache_.emplace(fp, std::move(kernel));
         TILUS_CHECK(inserted);
-        entries_.emplace(pos->second.kernel.get(), &pos->second);
-        result = pos->second.kernel.get();
+        result = pos->second.get();
         // A degraded (O0-fallback) kernel is fingerprinted under the
         // *requested* options; persisting it would serve the degraded
         // build to every later healthy process, so it stays in memory
         // only.
         persist = !from_disk && !degraded && disk_cache_ != nullptr;
     }
-    if (persist) // I/O off the lock; map nodes are address-stable
+    if (persist) // I/O off the lock; cached kernels never move
         disk_cache_->store(fp, *result);
     return *result;
-}
-
-const sim::MicroProgram *
-Runtime::cachedProgram(const lir::Kernel &kernel)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(&kernel);
-    if (it == entries_.end())
-        return nullptr;
-    std::unique_ptr<sim::MicroProgram> &program = it->second->program;
-    if (!program) {
-        obs::Span span("sim", "microop-decode");
-        span.arg("kernel", kernel.name);
-        obs::Registry::instance().counter("sim_microop_decodes_total").add();
-        program = std::make_unique<sim::MicroProgram>(
-            sim::compileMicroProgram(kernel));
-    }
-    return program.get();
 }
 
 ir::Env
@@ -229,7 +210,6 @@ Runtime::launch(const lir::Kernel &kernel, const std::vector<KernelArg> &args)
                               << " B shared memory; device limit is "
                               << spec_.max_smem_per_block);
     sim::RunOptions options;
-    options.micro_program = cachedProgram(kernel);
     obs::ProfileSink &sink = obs::ProfileSink::instance();
     if (!sink.enabled())
         return sim::run(kernel, toEnv(kernel, args), &device_, options);

@@ -24,7 +24,7 @@
 #include "sim/device.h"
 #include "sim/gpu_spec.h"
 #include "sim/interpreter.h"
-#include "sim/microop.h"
+#include "sim/microop.h" // perfbench/replay.h needs MicroProgram from here
 #include "sim/timing.h"
 
 namespace tilus {
@@ -85,10 +85,7 @@ class Runtime
      * program never alias. Lookup order: in-memory tier, then the
      * on-disk artifact store (skipped when TILUS_CACHE=off or
      * setDiskCache(nullptr)), then compiler::compile — freshly compiled
-     * kernels are persisted to disk. A kernel is pre-decoded for the
-     * micro-op engine on its first launch, so repeated launches pay
-     * decode once; autotune probes only ghost-trace, which decodes
-     * nothing.
+     * kernels are persisted to disk.
      *
      * Thread-safe: cold autotune sweeps call this concurrently from the
      * compile pool (cache/compile_pool.h). Racing compilations of
@@ -109,40 +106,24 @@ class Runtime
     void setDiskCache(cache::KernelCache *disk) { disk_cache_ = disk; }
 
     /**
-     * The cached pre-decoded program for a kernel obtained from
-     * getOrCompile, decoding it on first use (null for foreign kernels:
-     * sim::run then decodes on the fly). Decodes under the runtime
-     * lock: launch, its caller, is single-threaded.
+     * Launch a kernel functionally over all blocks. sim::run decodes it
+     * for the micro-op engine, once per launch, amortized over the grid.
      */
-    const sim::MicroProgram *cachedProgram(const lir::Kernel &kernel);
-
-    /** Launch a kernel functionally over all blocks. */
     sim::SimStats launch(const lir::Kernel &kernel,
                          const std::vector<KernelArg> &args);
 
   private:
-    /** A compiled kernel and its pre-decoded micro-op program. */
-    struct CachedKernel
-    {
-        std::unique_ptr<lir::Kernel> kernel;
-        std::unique_ptr<sim::MicroProgram> program;
-    };
-
     static ir::Env toEnv(const lir::Kernel &kernel,
                          const std::vector<KernelArg> &args);
     void checkArch(const lir::Kernel &kernel) const;
 
     sim::GpuSpec spec_;
     sim::Device device_;
-    /// Guards cache_, entries_ and decoding; compilation runs outside
-    /// it. The simulated device is NOT thread-safe — only compilation
-    /// and ghost tracing may run concurrently, launches stay
-    /// single-threaded.
+    /// Guards cache_; compilation runs outside it. The simulated device
+    /// is NOT thread-safe — only compilation and ghost tracing may run
+    /// concurrently, launches stay single-threaded.
     std::mutex mutex_;
-    /// Values are decoded lazily by cachedProgram; node addresses are
-    /// stable, so entries_ may point into the map.
-    std::map<cache::Fingerprint, CachedKernel> cache_;
-    std::map<const lir::Kernel *, CachedKernel *> entries_;
+    std::map<cache::Fingerprint, std::unique_ptr<lir::Kernel>> cache_;
     cache::KernelCache *disk_cache_ = &cache::KernelCache::instance();
     int compile_count_ = 0;
     int disk_load_count_ = 0;

@@ -171,7 +171,7 @@ struct ServingReport
 class MetricTracker
 {
   public:
-    MetricTracker(double sketch_accuracy, double series_window_ms);
+    explicit MetricTracker(double series_window_ms);
 
     /** One engine step: [t0, t0+step_ms), with the queue depth and KV
         occupancy in effect over the step, the decode batch size (0

@@ -1,7 +1,6 @@
 #include "serving/simulator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <queue>
 
@@ -10,6 +9,7 @@
 #include "support/error.h"
 #include "support/fault.h"
 #include "support/math_util.h"
+#include "support/retry.h"
 
 namespace tilus {
 namespace serving {
@@ -233,8 +233,7 @@ Simulator::run(const Trace &trace)
 
     // Incremental accumulation: sketches and series absorb each finish
     // and step as they happen — no per-request metric vectors.
-    MetricTracker tracker(options_.sketch_accuracy,
-                          options_.series_window_ms);
+    MetricTracker tracker(options_.series_window_ms);
     double busy_end_ms = 0; ///< clock after the last engine step
     int64_t safety = 0;
 
@@ -445,11 +444,14 @@ Simulator::run(const Trace &trace)
             } else {
                 state.phase = Phase::kQueued;
                 ++report.retries;
-                const double backoff =
-                    policy.backoff_base_ms *
-                    std::pow(policy.backoff_mult,
-                             static_cast<double>(state.fault_retries - 1));
-                delayed.emplace(now + step_ms + backoff, victim);
+                support::RetryPolicy curve;
+                curve.base_ms = policy.backoff_base_ms;
+                curve.mult = policy.backoff_mult;
+                // Retry k of the request is its attempt k + 1.
+                delayed.emplace(now + step_ms +
+                                    curve.backoffMs(static_cast<int>(
+                                        state.fault_retries + 1)),
+                                victim);
             }
         } else if (!plan.prefill.empty()) {
             // One request per prefill step: the engine prices a chunk
@@ -559,12 +561,6 @@ Simulator::run(const Trace &trace)
             std::max(report.peak_kv_used_tokens, kv_used_tokens);
         now += step_ms;
         busy_end_ms = now;
-        if (options_.max_sim_ms > 0 && now > options_.max_sim_ms) {
-            std::ostringstream oss;
-            oss << "virtual clock passed max_sim_ms="
-                << options_.max_sim_ms;
-            throw SimError(oss.str());
-        }
 
         for (int64_t id : done) {
             RequestState &state = states[id];

@@ -42,13 +42,6 @@ struct SimOptions
         (capped at limits.max_batch). */
     bool decode_cost_pow2 = true;
 
-    /** Abort (SimError) when the virtual clock passes this; 0 = none. */
-    double max_sim_ms = 0;
-
-    /** Relative-error bound of the report's latency sketches (TTFT /
-        TPOT / latency / queue-wait percentiles). */
-    double sketch_accuracy = obs::kDefaultSketchAccuracy;
-
     /** Window width of the report's "series" block (virtual ms);
         <= 0 disables the series. */
     double series_window_ms = 1000.0;
@@ -65,8 +58,9 @@ struct SimOptions
      * its full cost, emits no tokens, and evicts the victim — the
      * request the step was serving (the prefill request, or the first
      * decode id): its KV pages are released and it re-queues with
-     * backoff-delayed eligibility (base_ms * mult^(retries-1) of
-     * virtual time, re-entering the queue *tail*). After max_retries
+     * backoff-delayed eligibility (support::RetryPolicy's curve,
+     * base_ms * mult^(retries-1) of virtual time, re-entering the
+     * queue *tail*). After max_retries
      * faults the request terminates as Phase::kFailed instead. With no
      * "serving.step" trigger armed this policy is inert and runs are
      * byte-identical to a build without it.

@@ -682,9 +682,9 @@ run(const lir::Kernel &kernel, ir::Env args, Device *device,
     SimStats stats;
 
     // Engine selection: ghost traces walk the tree. Functional runs use
-    // the pre-decoded micro-ops unless the caller forces the tree walk.
-    // The decoded program is reused from the runtime cache when
-    // provided, decoded once per run() call otherwise.
+    // micro-ops unless the caller forces the tree walk, decoding the
+    // kernel here, once per run() call, unless the caller passes the
+    // program it decoded.
     Engine engine = options.mode == MemoryMode::kGhost ? Engine::kTreeWalk
                                                        : options.engine;
     std::unique_ptr<MicroProgram> decoded_here;
@@ -696,6 +696,11 @@ run(const lir::Kernel &kernel, ir::Env args, Device *device,
                             "RunOptions::micro_program was decoded from a "
                             "different kernel");
         } else {
+            obs::Span decode_span("sim", "microop-decode");
+            decode_span.arg("kernel", kernel.name);
+            obs::Registry::instance()
+                .counter("sim_microop_decodes_total")
+                .add();
             decoded_here = std::make_unique<MicroProgram>(
                 compileMicroProgram(kernel));
             program = decoded_here.get();

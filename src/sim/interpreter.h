@@ -65,9 +65,9 @@ struct RunOptions
     /** Execution engine of a functional run (see Engine). */
     Engine engine = Engine::kAuto;
     /**
-     * Pre-decoded program for `kernel` (runtime::Runtime's cache); when
-     * null a functional run decodes on the fly, once per run() call.
-     * Ghost traces ignore it.
+     * A program already decoded from `kernel`. When null, as for every
+     * caller but perfbench's replay, a functional run decodes the kernel
+     * itself, once per run() call. Ghost traces ignore it.
      */
     const MicroProgram *micro_program = nullptr;
     /**

@@ -28,11 +28,12 @@
  *
  * The engine runs functional launches only. Decode pays off over many
  * blocks; a ghost trace runs one, so ghost traces (the autotuner's
- * probes) walk the tree and decode nothing.
+ * probes) walk the tree and decode nothing. `sim::run` decodes the
+ * kernel once per functional run; only perfbench's replay hands it a
+ * program decoded ahead (RunOptions::micro_program).
  *
  * The decoded program borrows the kernel (it keeps pointers into the
- * kernel's op payloads): the kernel must outlive the program, which is
- * why runtime::Runtime caches the two side by side.
+ * kernel's op payloads): the kernel must outlive the program.
  *
  * See src/sim/README.md for the micro-op format, the affine
  * decomposition rules, and the decoder-author checklist.
@@ -223,9 +224,9 @@ struct DecodedLeaf
 };
 
 /**
- * A kernel pre-decoded for the micro-op engine. Produced once by
- * compileMicroProgram; immutable and reusable across launches (cached
- * next to the compiled kernel by runtime::Runtime).
+ * A kernel pre-decoded for the micro-op engine. Produced by
+ * compileMicroProgram; immutable, so one program can serve several
+ * runs of its kernel.
  */
 class MicroProgram
 {

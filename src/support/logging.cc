@@ -1,59 +1,16 @@
 #include "support/logging.h"
 
-#include <cstdlib>
 #include <iostream>
 
 namespace tilus {
 
-namespace {
-
-LogLevel &
-globalLevel()
-{
-    static LogLevel level = [] {
-        if (const char *env = std::getenv("TILUS_LOG_LEVEL")) {
-            int v = std::atoi(env);
-            if (v >= 0 && v <= 3)
-                return static_cast<LogLevel>(v);
-        }
-        return LogLevel::kWarn;
-    }();
-    return level;
-}
-
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    globalLevel() = level;
-}
-
-LogLevel
-logLevel()
-{
-    return globalLevel();
-}
-
-void
-inform(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::kInform)
-        std::cerr << "[tilus] info: " << msg << "\n";
-}
-
 void
 warn(const std::string &msg)
 {
-    if (logLevel() >= LogLevel::kWarn)
-        std::cerr << "[tilus] warn: " << msg << "\n";
-}
-
-void
-debugLog(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::kDebug)
-        std::cerr << "[tilus] debug: " << msg << "\n";
+    // One write per line: std::cerr is unit-buffered, so streaming the
+    // pieces separately lets concurrent compile-pool threads interleave
+    // mid-line.
+    std::cerr << "[tilus] warn: " + msg + "\n";
 }
 
 } // namespace tilus

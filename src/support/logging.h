@@ -1,31 +1,15 @@
 /**
  * @file
- * Minimal leveled logging, gem5-style: inform() for status, warn() for
- * suspicious-but-survivable conditions. Quiet by default so test output
- * stays clean; levels are raised via setLogLevel or TILUS_LOG_LEVEL env.
+ * Warnings for suspicious-but-survivable conditions (a disabled disk
+ * cache, a rejected cache entry, an O0 degrade), written to stderr.
  */
 #pragma once
 
-#include <sstream>
 #include <string>
 
 namespace tilus {
 
-enum class LogLevel { kSilent = 0, kWarn = 1, kInform = 2, kDebug = 3 };
-
-/** Set the global log threshold. */
-void setLogLevel(LogLevel level);
-
-/** Current global log threshold. */
-LogLevel logLevel();
-
-/** Emit a status message (visible at kInform and above). */
-void inform(const std::string &msg);
-
-/** Emit a warning (visible at kWarn and above). */
+/** Write "[tilus] warn: <msg>" to stderr as one line. */
 void warn(const std::string &msg);
-
-/** Emit a debug message (visible at kDebug). */
-void debugLog(const std::string &msg);
 
 } // namespace tilus

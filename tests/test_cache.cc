@@ -69,6 +69,8 @@ namespace tilus {
 namespace {
 
 using kernels::MatmulConfig;
+using testing::simtConfig;
+using testing::tensorCoreConfig;
 
 /** A unique directory under /tmp, removed on destruction. */
 struct TempDir
@@ -110,39 +112,6 @@ digestOf(const std::string &bytes)
     cache::Hasher h;
     h.str(bytes);
     return h.digest().hex();
-}
-
-MatmulConfig
-tensorCoreConfig(DataType wdtype)
-{
-    MatmulConfig cfg;
-    cfg.wdtype = wdtype;
-    cfg.n = 128;
-    cfg.k = 128;
-    cfg.bm = 16;
-    cfg.bn = 64;
-    cfg.bk = 32;
-    cfg.warp_m = 1;
-    cfg.warp_n = 2;
-    cfg.stages = 2;
-    cfg.use_tensor_cores = true;
-    return cfg;
-}
-
-MatmulConfig
-simtConfig(DataType wdtype)
-{
-    MatmulConfig cfg;
-    cfg.wdtype = wdtype;
-    cfg.n = 128;
-    cfg.k = 96;
-    cfg.bm = 4;
-    cfg.bn = 128;
-    cfg.bk = 32;
-    cfg.simt_warps = 2;
-    cfg.stages = 3;
-    cfg.use_tensor_cores = false;
-    return cfg;
 }
 
 /** The round-trip suite: matmul main + transform kernels across both

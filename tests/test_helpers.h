@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared helpers for integration tests: host tensor generation with
- * controlled magnitudes, a double-precision reference matmul implementing
- * the kernel's dequantization semantics, and an orchestration helper that
+ * Shared helpers for integration tests: two small matmul
+ * configurations, host tensor generation with controlled magnitudes, a
+ * double-precision reference matmul implementing the kernel's
+ * dequantization semantics, and an orchestration helper that
  * builds/compiles/launches a matmul bundle on the simulated GPU.
  */
 #pragma once
@@ -17,6 +18,41 @@
 
 namespace tilus {
 namespace testing {
+
+/** A small two-stage tensor-core matmul: n = k = 128, two warps. */
+inline kernels::MatmulConfig
+tensorCoreConfig(DataType wdtype)
+{
+    kernels::MatmulConfig cfg;
+    cfg.wdtype = wdtype;
+    cfg.n = 128;
+    cfg.k = 128;
+    cfg.bm = 16;
+    cfg.bn = 64;
+    cfg.bk = 32;
+    cfg.warp_m = 1;
+    cfg.warp_n = 2;
+    cfg.stages = 2;
+    cfg.use_tensor_cores = true;
+    return cfg;
+}
+
+/** A small three-stage SIMT matmul: n = 128, k = 96, two warps. */
+inline kernels::MatmulConfig
+simtConfig(DataType wdtype)
+{
+    kernels::MatmulConfig cfg;
+    cfg.wdtype = wdtype;
+    cfg.n = 128;
+    cfg.k = 96;
+    cfg.bm = 4;
+    cfg.bn = 128;
+    cfg.bk = 32;
+    cfg.simt_warps = 2;
+    cfg.stages = 3;
+    cfg.use_tensor_cores = false;
+    return cfg;
+}
 
 /** Random weights: uniform over the type's full bit-pattern space. */
 inline PackedBuffer

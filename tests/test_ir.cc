@@ -396,7 +396,8 @@ TEST(Script, BuildsAndVerifiesFigure2Program)
     EXPECT_EQ(prog.blockThreads(), 32);
     ASSERT_EQ(prog.grid.size(), 2u);
     Env env;
-    EXPECT_EQ(prog.resolveGrid(env), (std::vector<int64_t>{64, 128}));
+    EXPECT_EQ(evalInt(prog.grid[0], env), 64);
+    EXPECT_EQ(evalInt(prog.grid[1], env), 128);
 }
 
 TEST(Script, PrinterShowsFigure2Structure)

@@ -1,9 +1,11 @@
 /**
  * @file
- * Golden-text tests for lir::printKernel. Pass authors review listing
- * diffs (opt::diffListings) to understand what a transform did, so the
- * statement formatting must be stable: any change to the renderer shows
- * up here as an exact-string mismatch and has to be deliberate.
+ * Golden-text tests for lir::printKernel. Pass authors compare the
+ * listings the differential oracle reports (OracleReport::listing_ref
+ * and listing_opt) to understand what a transform did, and the pass
+ * pipeline's trace span hashes the listing, so the statement formatting
+ * must be stable: any change to the renderer shows up here as an
+ * exact-string mismatch and has to be deliberate.
  */
 #include <gtest/gtest.h>
 

@@ -22,39 +22,8 @@ using testing::randomScales;
 using testing::randomWeights;
 using testing::referenceMatmul;
 using testing::runMatmul;
-
-MatmulConfig
-tensorCoreConfig(DataType wdtype)
-{
-    MatmulConfig cfg;
-    cfg.wdtype = wdtype;
-    cfg.n = 128;
-    cfg.k = 128;
-    cfg.bm = 16;
-    cfg.bn = 64;
-    cfg.bk = 32;
-    cfg.warp_m = 1;
-    cfg.warp_n = 2;
-    cfg.stages = 2;
-    cfg.use_tensor_cores = true;
-    return cfg;
-}
-
-MatmulConfig
-simtConfig(DataType wdtype)
-{
-    MatmulConfig cfg;
-    cfg.wdtype = wdtype;
-    cfg.n = 128;
-    cfg.k = 96;
-    cfg.bm = 4;
-    cfg.bn = 128;
-    cfg.bk = 32;
-    cfg.simt_warps = 2;
-    cfg.stages = 3;
-    cfg.use_tensor_cores = false;
-    return cfg;
-}
+using testing::simtConfig;
+using testing::tensorCoreConfig;
 
 void
 checkConfig(const MatmulConfig &cfg, int64_t m, uint64_t seed,

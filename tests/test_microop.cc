@@ -5,9 +5,9 @@
  * the tree-walk interpreter on identically seeded devices), decode-time
  * expression classification (affine / tabulated / generic, including a
  * deliberately non-affine address that pins the per-thread fallback
- * path), functional statistics parity, the runtime's decoded-program
- * cache, whole-kernel decode fallback, and the satellite fast paths
- * (dense ir::Env, byte-aligned packing).
+ * path), functional statistics parity, decode accounting (sim::run
+ * decodes once per functional run), whole-kernel decode fallback, and
+ * the satellite fast paths (dense ir::Env, byte-aligned packing).
  */
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "kernels/elementwise.h"
 #include "kernels/matmul.h"
 #include "lang/script.h"
+#include "obs/metrics.h"
 #include "opt/oracle.h"
 #include "runtime/runtime.h"
 #include "sim/interpreter.h"
@@ -326,33 +327,52 @@ TEST(MicroOpFallback, ForcedMicroOpsOnUndecodableKernelThrows)
 }
 
 // ---------------------------------------------------------------------
-// Runtime decoded-program cache.
+// Decode accounting: sim::run decodes, once per functional run.
 // ---------------------------------------------------------------------
 
-TEST(MicroOpRuntime, LaunchUsesCachedProgram)
+TEST(MicroOpDecode, SimRunDecodesOncePerFunctionalRun)
 {
+    obs::Counter &decodes =
+        obs::Registry::instance().counter("sim_microop_decodes_total");
     auto cfg = baseConfig(tilus::uint4());
-    cfg.stages = 1;
-    runtime::Runtime rt(sim::l40s());
-    auto bundle = kernels::buildMatmul(cfg);
-    const lir::Kernel &kernel = rt.getOrCompile(bundle.main_program, {});
-    const sim::MicroProgram *program = rt.cachedProgram(kernel);
-    ASSERT_NE(program, nullptr);
-    EXPECT_TRUE(program->ok()) << program->fallbackReason();
-    // Decode happens once: repeated queries return the same program.
-    EXPECT_EQ(rt.cachedProgram(kernel), program);
-    // Foreign kernels are not in the cache.
-    lir::Kernel other =
-        compiler::compile(bundle.main_program, {});
-    EXPECT_EQ(rt.cachedProgram(other), nullptr);
+    cfg.transform_weights = false; // one kernel launch per matmul
+    const lir::Kernel kernel =
+        compiler::compile(kernels::buildMatmul(cfg).main_program, {});
+    opt::OracleConfig config;
+    config.scalars = {{"m", 16}};
 
+    int64_t before = decodes.value();
+    sim::Device micro_dev(config.device_bytes);
+    EXPECT_TRUE(opt::runSeeded(kernel, config, micro_dev).used_microops);
+    EXPECT_EQ(decodes.value() - before, 1);
+
+    // The tree walk and ghost traces decode nothing.
+    before = decodes.value();
+    sim::Device tree_dev(config.device_bytes);
+    EXPECT_FALSE(opt::runSeeded(kernel, config, tree_dev,
+                                sim::Engine::kTreeWalk)
+                     .used_microops);
+    ir::Env env;
+    for (const ir::Var &p : kernel.params)
+        env.bind(p, p.name() == "m" ? 16 : 0);
+    sim::traceOneBlock(kernel, env);
+    EXPECT_EQ(decodes.value(), before);
+
+    // The runtime keeps no decoded program: two launches of one cached
+    // kernel decode twice, and each still runs on micro-ops.
+    runtime::Runtime rt(sim::l40s());
     const int64_t m = 4;
     PackedBuffer a = testing::randomActivations(m * cfg.k, 31);
     PackedBuffer b = testing::randomWeights(cfg.wdtype, cfg.k * cfg.n, 32);
-    auto run = testing::runMatmul(rt, cfg, m, a, b, nullptr);
-    EXPECT_TRUE(run.stats.used_microops);
     auto want = testing::referenceMatmul(cfg, m, a, b, nullptr);
-    EXPECT_LT(testing::maxRelativeError(run.result, want), 2e-2);
+    before = decodes.value();
+    for (int launch = 0; launch < 2; ++launch) {
+        auto run = testing::runMatmul(rt, cfg, m, a, b, nullptr);
+        EXPECT_TRUE(run.stats.used_microops);
+        EXPECT_LT(testing::maxRelativeError(run.result, want), 2e-2);
+    }
+    EXPECT_EQ(rt.compileCount() + rt.diskLoadCount(), 1);
+    EXPECT_EQ(decodes.value() - before, 2);
 }
 
 // ---------------------------------------------------------------------

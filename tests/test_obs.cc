@@ -206,7 +206,7 @@ TEST_F(TracerTest, EnableResetsVirtualPidsAndBuffers)
     EXPECT_EQ(tracer.virtualProcess("fresh"), 2);
 }
 
-TEST(Metrics, CounterGaugeHistogramBasics)
+TEST(Metrics, CounterGaugeBasics)
 {
     obs::Registry registry;
     obs::Counter &c = registry.counter("ops_total");
@@ -223,17 +223,6 @@ TEST(Metrics, CounterGaugeHistogramBasics)
     g.add(1.5);
     EXPECT_DOUBLE_EQ(g.value(), 5.0);
     EXPECT_DOUBLE_EQ(registry.gaugeValue("depth"), 5.0);
-
-    obs::Histogram &h = registry.histogram("latency_us");
-    h.observe(0.5); // <= 2^0 -> bucket 0
-    h.observe(3.0); // <= 2^2 -> bucket 2
-    h.observe(3.9);
-    EXPECT_EQ(h.count(), 3);
-    EXPECT_DOUBLE_EQ(h.sum(), 7.4);
-    EXPECT_EQ(h.bucketCount(0), 1);
-    EXPECT_EQ(h.bucketCount(1), 0);
-    EXPECT_EQ(h.bucketCount(2), 2);
-    EXPECT_DOUBLE_EQ(obs::Histogram::bucketBound(10), 1024.0);
 }
 
 TEST(Metrics, JsonDumpIsSortedAndStable)
@@ -242,13 +231,9 @@ TEST(Metrics, JsonDumpIsSortedAndStable)
     registry.counter("b_total").add(2);
     registry.counter("a_total").add(1);
     registry.gauge("g").set(1.5);
-    registry.histogram("h").observe(3.0);
     EXPECT_EQ(registry.toJson(),
               "{\"counters\":{\"a_total\":1,\"b_total\":2},"
-              "\"gauges\":{\"g\":1.5},"
-              "\"histograms\":{\"h\":{\"count\":1,\"sum\":3,"
-              "\"p50\":3,\"p95\":3,\"p99\":3,"
-              "\"buckets\":[[4,1]]}}}");
+              "\"gauges\":{\"g\":1.5}}");
 }
 
 TEST(Metrics, PrometheusDumpHasTypedFamilies)
@@ -256,67 +241,30 @@ TEST(Metrics, PrometheusDumpHasTypedFamilies)
     obs::Registry registry;
     registry.counter("hits_total").add(7);
     registry.gauge("depth").set(2);
-    registry.histogram("lat").observe(3.0);
     const std::string prom = registry.toPrometheus();
     EXPECT_NE(prom.find("# TYPE tilus_hits_total counter\n"
                         "tilus_hits_total 7\n"),
               std::string::npos);
     EXPECT_NE(prom.find("# TYPE tilus_depth gauge\ntilus_depth 2\n"),
               std::string::npos);
-    EXPECT_NE(prom.find("tilus_lat_bucket{le=\"4\"} 1\n"),
-              std::string::npos);
-    EXPECT_NE(prom.find("tilus_lat_bucket{le=\"+Inf\"} 1\n"),
-              std::string::npos);
-    EXPECT_NE(prom.find("tilus_lat_count 1\n"), std::string::npos);
-    // Bucket-estimated tails ride along as companion gauges.
-    EXPECT_NE(prom.find("# TYPE tilus_lat_p50 gauge\ntilus_lat_p50 3\n"),
-              std::string::npos);
-    EXPECT_NE(prom.find("tilus_lat_p99 3\n"), std::string::npos);
-}
-
-TEST(Metrics, HistogramQuantileInterpolatesWithinBuckets)
-{
-    obs::Histogram h;
-    EXPECT_DOUBLE_EQ(h.quantile(50), 0.0); // empty
-    // 8 samples in (4,8]: uniform-within-bucket placement puts sample
-    // k (0-based) at 4 + (k+0.5)/8 * 4.
-    for (int i = 0; i < 8; ++i)
-        h.observe(5.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0), 4.25);
-    EXPECT_DOUBLE_EQ(h.quantile(100), 7.75);
-    // rank(50) = 3.5 -> within = 0.5 -> bucket midpoint.
-    EXPECT_DOUBLE_EQ(h.quantile(50), 6.0);
-    // A lone far-tail sample: p100's rank reaches the (512,1024]
-    // bucket (reported at its midpoint), p99 and p50 stay in the body.
-    for (int i = 0; i < 92; ++i)
-        h.observe(5.0);
-    h.observe(1000.0);
-    EXPECT_NEAR(h.quantile(100), 768.0, 1e-9);
-    EXPECT_NEAR(h.quantile(99), 7.98, 1e-9); // rank 99 of 101, in-bucket
-    EXPECT_NEAR(h.quantile(50), 6.02, 1e-9); // rank 50 of 101
 }
 
 TEST(Metrics, ConcurrentCountingLosesNothing)
 {
     obs::Registry registry;
     obs::Counter &c = registry.counter("contended_total");
-    obs::Histogram &h = registry.histogram("contended_lat");
     constexpr int kThreads = 8;
     constexpr int kIters = 10000;
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&] {
-            for (int i = 0; i < kIters; ++i) {
+            for (int i = 0; i < kIters; ++i)
                 c.add();
-                h.observe(1.0);
-            }
         });
     }
     for (std::thread &t : threads)
         t.join();
     EXPECT_EQ(c.value(), kThreads * kIters);
-    EXPECT_EQ(h.count(), kThreads * kIters);
-    EXPECT_DOUBLE_EQ(h.sum(), kThreads * kIters);
 }
 
 TEST(Metrics, ZeroAllForTestKeepsHandles)
@@ -335,8 +283,7 @@ TEST(Metrics, KeysAreEscaped)
     obs::Registry registry;
     registry.counter("a\"b\\").add(1);
     EXPECT_EQ(registry.toJson(),
-              "{\"counters\":{\"a\\\"b\\\\\":1},\"gauges\":{},"
-              "\"histograms\":{}}");
+              "{\"counters\":{\"a\\\"b\\\\\":1},\"gauges\":{}}");
 }
 
 // ----------------------------------------------------------- json writer

@@ -544,7 +544,6 @@ TEST(PassManager, InstrumentedRunReportsPerPassDeltas)
 
     opt::PassManager pm =
         opt::PassManager::standardPipeline(compiler::OptLevel::O2);
-    pm.setRecordIr(true);
     bool changed = pm.runInstrumented(kernel, env, sim::l40s());
     EXPECT_TRUE(changed);
 
@@ -556,38 +555,24 @@ TEST(PassManager, InstrumentedRunReportsPerPassDeltas)
     EXPECT_LT(records.back().latency.total_us,
               records.front().latency.total_us);
 
-    // The pipelining pass must have recorded a listing diff.
-    bool diffed = false;
+    // The pipelining pass must have changed the kernel.
+    bool pipelined = false;
     for (const auto &record : records)
-        if (record.name == "pipeline-cpasync" && record.changed &&
-            !record.ir_diff.empty())
-            diffed = true;
-    EXPECT_TRUE(diffed);
-}
-
-TEST(PassManager, DiffListingsShowsChangedLines)
-{
-    std::string before = "a\nb\nc\n";
-    std::string after = "a\nx\nc\n";
-    std::string diff = opt::diffListings(before, after);
-    EXPECT_NE(diff.find("- b"), std::string::npos) << diff;
-    EXPECT_NE(diff.find("+ x"), std::string::npos) << diff;
-    EXPECT_EQ(diff.find("- a"), std::string::npos) << diff;
+        if (record.name == "pipeline-cpasync" && record.changed)
+            pipelined = true;
+    EXPECT_TRUE(pipelined);
 }
 
 TEST(PassManager, StandardPipelineLevels)
 {
-    // O0 is empty; O1 cleans up; O2 additionally pipelines.
+    // O0 is empty; O2 pipelines, double-buffering shared memory.
     auto cfg = baseConfig(tilus::uint4());
     cfg.stages = 1;
     auto bundle = kernels::buildMatmul(cfg);
-    compiler::CompileOptions o0, o1;
+    compiler::CompileOptions o0;
     o0.opt_level = compiler::OptLevel::O0;
-    o1.opt_level = compiler::OptLevel::O1;
     lir::Kernel k0 = compiler::compile(bundle.main_program, o0);
-    lir::Kernel k1 = compiler::compile(bundle.main_program, o1);
     lir::Kernel k2 = compiler::compile(bundle.main_program, {});
-    EXPECT_EQ(k1.smem_bytes, k0.smem_bytes); // O1 never double-buffers
     EXPECT_EQ(k2.smem_bytes, 2 * k0.smem_bytes);
 }
 
