@@ -12,7 +12,8 @@
  * preemption (never OOM), recompute-on-resume TTFT/TPOT accounting,
  * occupancy gains over whole-request reservation, the SLO policy's
  * goodput edge, and the golden ServingReport JSON schema that
- * BENCH_serving.json consumers rely on.
+ * BENCH_serving.json consumers rely on. The last section pins fixed
+ * seeded runs of every policy to recorded digests.
  */
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include <set>
 #include <utility>
 
+#include "cache/fingerprint.h"
 #include "serving/simulator.h"
 #include "support/fault.h"
 #include "support/json.h"
@@ -1243,6 +1245,124 @@ TEST(Faults, MalformedSpecIsRejectedWithoutArming)
     EXPECT_THROW(fault::configure("serving.step=p0.1@x"), FatalError);
     EXPECT_THROW(fault::configure("=always"), FatalError);
     EXPECT_FALSE(fault::enabled());
+}
+
+// ----------------------------------------------------------- pinned runs
+//
+// Fixed seeded runs through every policy and both KV modes, each reduced
+// to one digest of its report JSON plus every request's phase,
+// first-token time and finish time (bit patterns, not rounded). A change
+// to admission, preemption, release or step planning that moves a
+// single timestamp fails here.
+
+std::string
+runDigest(const ServingReport &report)
+{
+    cache::Hasher h;
+    h.str(report.toJson());
+    for (const RequestState &state : report.requests) {
+        h.str(serving::phaseName(state.phase));
+        h.f64(state.first_token_ms);
+        h.f64(state.finish_ms);
+    }
+    return h.digest().hex();
+}
+
+TEST(Pinned, SeededRunsKeepTheirReports)
+{
+    FaultGuard guard;
+    fault::disarm();
+
+    // Reservation-mode FCFS under KV back-pressure, with one request
+    // whose demand exceeds the whole capacity (rejected at submission).
+    {
+        FakeCost costs(2048, 8);
+        TraceOptions options;
+        options.num_requests = 60;
+        options.rate_rps = 80.0;
+        options.prompt_min = 32;
+        options.prompt_max = 256;
+        options.output_min = 16;
+        options.output_max = 128;
+        options.seed = 101;
+        Trace trace = serving::poissonTrace(options);
+        trace.requests.push_back({60, 50.0, 2000, 100, 0});
+        FcfsScheduler fcfs;
+        SimOptions sim_options;
+        sim_options.limits = serving::limitsFrom(costs);
+        Simulator sim(costs, fcfs, sim_options);
+        ServingReport report = sim.run(trace);
+        ASSERT_EQ(report.scheduler, "fcfs-alternate");
+        ASSERT_EQ(report.rejected, 1);
+        ASSERT_GT(report.max_queue_depth, 0);
+        EXPECT_EQ(runDigest(report), "037d5fab1596b2f626f02745c26541c2")
+            << "fcfs-alternate";
+    }
+
+    // Paged FCFS on a pool small enough to force preemptions.
+    {
+        FakeCost costs(1024, 8);
+        TraceOptions options;
+        options.num_requests = 60;
+        options.rate_rps = 400.0;
+        options.prompt_min = 32;
+        options.prompt_max = 200;
+        options.output_min = 16;
+        options.output_max = 96;
+        options.seed = 102;
+        Trace trace = serving::burstyTrace(options, 12);
+        PagedFcfsScheduler paged;
+        Simulator sim(costs, paged, pagedExactOptions(costs, 16));
+        ServingReport report = sim.run(trace);
+        ASSERT_GT(report.preemptions, 0);
+        EXPECT_EQ(runDigest(report), "f4bb357ecabb6f0338f9165dc759cdad")
+            << "fcfs-paged";
+    }
+
+    // The SLO policy on mixed deadlines: tight, loose and best-effort.
+    {
+        FakeCost costs(1024, 8);
+        TraceOptions options;
+        options.num_requests = 60;
+        options.rate_rps = 300.0;
+        options.prompt_min = 48;
+        options.prompt_max = 160;
+        options.output_min = 16;
+        options.output_max = 64;
+        options.seed = 103;
+        Trace trace = serving::burstyTrace(options, 10);
+        const double slos[] = {60.0, 0.0, 250.0};
+        for (size_t i = 0; i < trace.requests.size(); ++i)
+            trace.requests[i].slo_ms = slos[i % 3];
+        SloScheduler slo;
+        Simulator sim(costs, slo, pagedExactOptions(costs, 16));
+        ServingReport report = sim.run(trace);
+        ASSERT_GT(report.preemptions, 0);
+        ASSERT_LT(report.met_slo, report.completed);
+        EXPECT_EQ(runDigest(report), "adfb21d1253eca2525b5d81db7f4f7b3")
+            << "slo-paged";
+    }
+
+    // Paged FCFS on a closed loop while engine steps fault.
+    {
+        FakeCost costs(2048, 8);
+        TraceOptions options;
+        options.num_requests = 80;
+        options.prompt_min = 32;
+        options.prompt_max = 256;
+        options.output_min = 8;
+        options.output_max = 64;
+        options.seed = 104;
+        Trace trace = serving::closedLoopTrace(options, 6);
+        fault::configure("serving.step=p0.05@7");
+        PagedFcfsScheduler paged;
+        Simulator sim(costs, paged, pagedExactOptions(costs, 16));
+        ServingReport report = sim.run(trace);
+        fault::disarm();
+        ASSERT_GT(report.retries, 0);
+        EXPECT_EQ(runDigest(report), "bb5edcbd0b8a23cbffdd14eba1400a91")
+            << "fcfs-paged, step faults";
+    }
 }
 
 } // namespace
