@@ -8,7 +8,8 @@ namespace serving {
 
 KvPagePool::KvPagePool(int64_t capacity_tokens, int64_t page_tokens)
     : page_tokens_(page_tokens),
-      total_pages_(capacity_tokens / page_tokens)
+      total_pages_(capacity_tokens / page_tokens),
+      free_pages_(total_pages_)
 {
     TILUS_FATAL_IF(page_tokens < 1,
                    "KvPagePool needs a positive page size, got "
@@ -17,7 +18,6 @@ KvPagePool::KvPagePool(int64_t capacity_tokens, int64_t page_tokens)
                    "KvPagePool capacity " << capacity_tokens
                                           << " tokens holds no page of "
                                           << page_tokens << " tokens");
-    reset();
 }
 
 int64_t
@@ -29,58 +29,34 @@ KvPagePool::pagesForTokens(int64_t tokens) const
 int64_t
 KvPagePool::pagesHeld(int64_t owner) const
 {
-    auto it = held_.find(owner);
-    return it == held_.end() ? 0
-                             : static_cast<int64_t>(it->second.size());
-}
-
-const std::vector<int64_t> &
-KvPagePool::pageList(int64_t owner) const
-{
-    static const std::vector<int64_t> kEmpty;
-    auto it = held_.find(owner);
-    return it == held_.end() ? kEmpty : it->second;
+    return owner >= 0 && owner < static_cast<int64_t>(held_.size())
+               ? held_[owner]
+               : 0;
 }
 
 bool
 KvPagePool::grow(int64_t owner, int64_t kv_tokens)
 {
-    const int64_t want = pagesForTokens(kv_tokens);
-    const int64_t have = pagesHeld(owner);
-    if (want <= have)
+    TILUS_CHECK(owner >= 0);
+    const int64_t more = pagesForTokens(kv_tokens) - pagesHeld(owner);
+    if (more <= 0)
         return true;
-    if (want - have > freePages())
+    if (more > free_pages_)
         return false;
-    std::vector<int64_t> &pages = held_[owner];
-    for (int64_t i = have; i < want; ++i) {
-        pages.push_back(free_list_.back());
-        free_list_.pop_back();
-    }
+    if (owner >= static_cast<int64_t>(held_.size()))
+        held_.resize(owner + 1, 0);
+    held_[owner] += more;
+    free_pages_ -= more;
     return true;
 }
 
 void
 KvPagePool::release(int64_t owner)
 {
-    auto it = held_.find(owner);
-    if (it == held_.end())
+    if (pagesHeld(owner) == 0)
         return;
-    // Return in reverse allocation order so alloc/free round trips
-    // restore the free list exactly (deterministic page reuse).
-    for (size_t i = it->second.size(); i-- > 0;)
-        free_list_.push_back(it->second[i]);
-    held_.erase(it);
-}
-
-void
-KvPagePool::reset()
-{
-    held_.clear();
-    free_list_.clear();
-    free_list_.reserve(total_pages_);
-    // Stack with the lowest page id on top.
-    for (int64_t p = total_pages_; p-- > 0;)
-        free_list_.push_back(p);
+    free_pages_ += held_[owner];
+    held_[owner] = 0;
 }
 
 } // namespace serving

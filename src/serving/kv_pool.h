@@ -1,24 +1,25 @@
 /**
  * @file
- * Page-granular KV-cache accounting for the serving simulator. A
- * KvPagePool divides the engine's KV reservation into fixed-size pages
- * (vLLM-style blocks) and hands them out on demand as requests extend
- * their context: a request holds exactly the pages needed to cover its
- * materialized KV entries, never its whole `prompt + output` demand.
- * That is what lets admission over-subscribe the pool relative to the
- * old whole-request reservation — the out-of-pages condition this
- * creates is resolved by scheduler-driven preemption (see simulator.cc
- * and the policy contract in README.md), not by OOM.
+ * The serving simulator's one KV ledger. A KvPagePool divides the
+ * engine's KV reservation into fixed-size pages (vLLM-style blocks) and
+ * counts how many each request holds. Both KV modes run on it:
  *
- * Allocation is deterministic: the free list is a stack of page ids, so
- * the same request sequence produces the same page assignment on every
- * run — the determinism tests cover pools the same way they cover
- * traces.
+ *  - paged mode: pages of SchedulerLimits::kv_page_tokens, handed out
+ *    on demand as a request extends its context, so a request holds
+ *    exactly the pages covering its materialized KV entries. Admission
+ *    may over-subscribe the pool; the out-of-pages condition this
+ *    creates is resolved by scheduler-driven preemption (see
+ *    simulator.cc and the policy contract in README.md), not by OOM.
+ *  - reservation mode: 1-token pages, grown to a request's whole
+ *    `prompt + output` demand when it is admitted, so it never needs
+ *    a page it does not already hold.
+ *
+ * Only counts are kept: no policy, metric or report reads which page a
+ * request holds.
  */
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace tilus {
@@ -27,7 +28,7 @@ namespace serving {
 /** Default page size in tokens (vLLM's classic block size). */
 constexpr int64_t kDefaultKvPageTokens = 16;
 
-/** A fixed pool of KV-cache pages with per-request page lists. */
+/** A fixed pool of KV-cache pages with a page count per owner. */
 class KvPagePool
 {
   public:
@@ -40,14 +41,8 @@ class KvPagePool
 
     int64_t pageTokens() const { return page_tokens_; }
     int64_t totalPages() const { return total_pages_; }
-    int64_t usedPages() const
-    {
-        return total_pages_ - static_cast<int64_t>(free_list_.size());
-    }
-    int64_t freePages() const
-    {
-        return static_cast<int64_t>(free_list_.size());
-    }
+    int64_t usedPages() const { return total_pages_ - free_pages_; }
+    int64_t freePages() const { return free_pages_; }
 
     /** Pages needed to cover @p tokens KV entries. */
     int64_t pagesForTokens(int64_t tokens) const;
@@ -55,31 +50,24 @@ class KvPagePool
     /** Pages currently held by @p owner (0 when unknown). */
     int64_t pagesHeld(int64_t owner) const;
 
-    /** The page ids held by @p owner, in allocation order (empty when
-        unknown). Borrowed; invalidated by grow/release. */
-    const std::vector<int64_t> &pageList(int64_t owner) const;
-
     /**
-     * Ensure @p owner holds enough pages to cover @p kv_tokens entries,
-     * allocating from the free list as needed. Returns false — with the
-     * pool untouched — when the free list cannot cover the growth;
-     * the caller (a policy planning a step, or the simulator enforcing
-     * one) must preempt a victim and retry. Never shrinks.
+     * Ensure @p owner holds enough pages to cover @p kv_tokens entries.
+     * Returns false — with the pool untouched — when the free pages
+     * cannot cover the growth; the caller (a policy planning a step, or
+     * the simulator enforcing one) must preempt a victim and retry.
+     * Never shrinks.
      */
     bool grow(int64_t owner, int64_t kv_tokens);
 
-    /** Return every page held by @p owner to the free list (no-op for
-        unknown owners). Called on finish and on preemption. */
+    /** Return every page held by @p owner (no-op for unknown owners).
+        Called on finish, preemption and step-fault eviction. */
     void release(int64_t owner);
-
-    /** Release every owner: a fresh pool for the next run. */
-    void reset();
 
   private:
     int64_t page_tokens_;
     int64_t total_pages_;
-    std::vector<int64_t> free_list_; ///< stack: deterministic reuse
-    std::unordered_map<int64_t, std::vector<int64_t>> held_;
+    int64_t free_pages_;
+    std::vector<int64_t> held_; ///< pages per owner id
 };
 
 } // namespace serving

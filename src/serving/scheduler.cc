@@ -1,6 +1,7 @@
 #include "serving/scheduler.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "support/error.h"
@@ -22,88 +23,51 @@ phaseName(Phase phase)
     return "?";
 }
 
-int64_t
-BatchPlan::prefillTokens() const
-{
-    int64_t total = 0;
-    for (const PrefillChunk &chunk : prefill)
-        total += chunk.tokens;
-    return total;
-}
+namespace {
 
-std::string
-FcfsScheduler::name() const
-{
-    return mode_ == Interleave::kAlternate ? "fcfs-alternate"
-                                           : "fcfs-prefill-first";
-}
+/** Orders request ids most urgent first; empty = admission order. */
+using MoreUrgent = std::function<bool(int64_t, int64_t)>;
 
-BatchPlan
-FcfsScheduler::plan(const SchedulerView &view,
-                    const SchedulerLimits &limits)
+/**
+ * The one admission loop: admit @p candidates in order while the batch
+ * has room and the pool can back them. A request needs its whole
+ * `prompt + output` demand in reservation mode, and in paged mode pages
+ * for its prefill target (prompt, or prompt + generated for a preempted
+ * resume) — decode growth is on demand, backed by preemption. A request
+ * that does not fit ends admission, or with @p bypass is skipped.
+ */
+template <typename Ids>
+void
+admit(const SchedulerView &view, const SchedulerLimits &limits,
+      const Ids &candidates, bool bypass, BatchPlan &out)
 {
-    TILUS_CHECK(view.states != nullptr && view.queued != nullptr &&
-                view.running != nullptr);
-    const std::vector<RequestState> &states = *view.states;
-    BatchPlan out;
-
-    // Strict FCFS admission: stop at the first queued request that does
-    // not fit — later (smaller) requests may not bypass it.
+    const KvPagePool &pool = *view.kv_pool;
     int64_t running = static_cast<int64_t>(view.running->size());
-    int64_t reserved = view.kv_reserved_tokens;
-    for (int64_t id : *view.queued) {
-        const RequestState &state = states[id];
+    int64_t free_budget = pool.freePages();
+    for (int64_t id : candidates) {
         if (running >= limits.max_batch)
             break;
-        if (reserved + state.kvDemandTokens() > limits.kv_capacity_tokens)
+        const RequestState &state = (*view.states)[id];
+        const int64_t need = pool.pagesForTokens(
+            limits.paged() ? state.prefill_target_tokens
+                           : state.kvDemandTokens());
+        if (need > free_budget) {
+            if (bypass)
+                continue;
             break;
+        }
         out.admit.push_back(id);
         ++running;
-        reserved += state.kvDemandTokens();
+        free_budget -= need;
     }
-
-    // Partition this iteration's population into pending work sets.
-    std::vector<int64_t> prefillable;
-    std::vector<int64_t> decodable;
-    auto classify = [&](int64_t id) {
-        const RequestState &state = states[id];
-        if (state.prefilled_tokens < state.prefill_target_tokens)
-            prefillable.push_back(id);
-        else
-            decodable.push_back(id);
-    };
-    for (int64_t id : *view.running)
-        classify(id);
-    for (int64_t id : out.admit)
-        prefillable.push_back(id); // freshly admitted: nothing prefilled
-
-    const bool prefer_prefill =
-        mode_ == Interleave::kPrefillFirst || !last_step_was_prefill_;
-    if (!prefillable.empty() && (decodable.empty() || prefer_prefill)) {
-        // One request's chunk per step: the engine cost model prices a
-        // prefill by (new tokens, past context) of a single request.
-        const int64_t id = prefillable.front();
-        const RequestState &state = states[id];
-        const int64_t remaining =
-            state.prefill_target_tokens - state.prefilled_tokens;
-        out.prefill.push_back(
-            {id, std::min(limits.prefill_chunk_tokens, remaining)});
-        last_step_was_prefill_ = true;
-    } else if (!decodable.empty()) {
-        out.decode = std::move(decodable);
-        last_step_was_prefill_ = false;
-    }
-    return out;
 }
-
-namespace {
 
 /**
  * Make the chosen step feasible in the page pool by planning
  * preemptions. @p victims lists preemption candidates most-preferred
- * first; the shared rule both paged policies rely on for forward
- * progress is that the step's primary request (the prefill target, or
- * the decode set's most-preferred member) is never in @p victims.
+ * first; the rule every policy relies on for forward progress is that
+ * the step's primary request (the prefill target, or the decode set's
+ * most-preferred member) is never in @p victims.
  *
  * Fills @p out.preempt, drops victims from @p decodable, and returns
  * the page count still free for the step after the planned preemptions.
@@ -139,18 +103,43 @@ freePagesAfterPreempting(const SchedulerView &view,
     return free;
 }
 
-/** Plan one step for a paged policy: a prefill chunk for
-    @p prefillable.front() (alternating with decode as FcfsScheduler
-    does), preempting from @p victims when the pool is short. */
+/**
+ * The one step planner, run after admission. Partitions the running set
+ * plus this plan's admissions into prefillable and decodable work, then
+ * plans one step: a prefill chunk for the most urgent prefillable
+ * request, alternating with a decode step over every decodable one, and
+ * preempts victims (least urgent first) when the pool is short. Without
+ * @p more_urgent requests keep admission order and victims are LIFO.
+ */
 void
 planPagedStep(const SchedulerView &view, const SchedulerLimits &limits,
-              std::vector<int64_t> prefillable,
-              std::vector<int64_t> decodable,
-              std::vector<int64_t> victims, bool &last_step_was_prefill,
+              const MoreUrgent &more_urgent, bool &last_step_was_prefill,
               BatchPlan &out)
 {
     const KvPagePool &pool = *view.kv_pool;
     const std::vector<RequestState> &states = *view.states;
+
+    std::vector<int64_t> prefillable;
+    std::vector<int64_t> decodable;
+    for (int64_t id : *view.running) {
+        const RequestState &state = states[id];
+        if (state.prefilled_tokens < state.prefill_target_tokens)
+            prefillable.push_back(id);
+        else
+            decodable.push_back(id);
+    }
+    for (int64_t id : out.admit)
+        prefillable.push_back(id); // freshly admitted: nothing prefilled
+    // Without an urgency order victims are LIFO, as in vLLM: most
+    // recently admitted first, so the oldest request survives.
+    std::vector<int64_t> victims(view.running->rbegin(),
+                                 view.running->rend());
+    if (more_urgent) {
+        std::sort(prefillable.begin(), prefillable.end(), more_urgent);
+        std::sort(decodable.begin(), decodable.end(), more_urgent);
+        std::sort(victims.begin(), victims.end(),
+                  [&](int64_t a, int64_t b) { return more_urgent(b, a); });
+    }
 
     const bool prefer_prefill = !last_step_was_prefill;
     if (!prefillable.empty() && (decodable.empty() || prefer_prefill)) {
@@ -201,62 +190,6 @@ planPagedStep(const SchedulerView &view, const SchedulerLimits &limits,
     }
 }
 
-} // namespace
-
-BatchPlan
-PagedFcfsScheduler::plan(const SchedulerView &view,
-                         const SchedulerLimits &limits)
-{
-    TILUS_CHECK(view.states != nullptr && view.queued != nullptr &&
-                view.running != nullptr && view.kv_pool != nullptr);
-    const std::vector<RequestState> &states = *view.states;
-    const KvPagePool &pool = *view.kv_pool;
-    BatchPlan out;
-
-    // Strict FCFS admission, but page-granular: a request is admitted
-    // when the pool has free pages for its prefill target (prompt, or
-    // prompt + generated for a preempted resume) — NOT its full
-    // prompt + output demand. Decode growth is on-demand, backed by
-    // LIFO preemption below.
-    int64_t running = static_cast<int64_t>(view.running->size());
-    int64_t free_budget = pool.freePages();
-    for (int64_t id : *view.queued) {
-        const RequestState &state = states[id];
-        if (running >= limits.max_batch)
-            break;
-        const int64_t need =
-            pool.pagesForTokens(state.prefill_target_tokens);
-        if (need > free_budget)
-            break;
-        out.admit.push_back(id);
-        ++running;
-        free_budget -= need;
-    }
-
-    std::vector<int64_t> prefillable;
-    std::vector<int64_t> decodable;
-    for (int64_t id : *view.running) {
-        const RequestState &state = states[id];
-        if (state.prefilled_tokens < state.prefill_target_tokens)
-            prefillable.push_back(id);
-        else
-            decodable.push_back(id);
-    }
-    for (int64_t id : out.admit)
-        prefillable.push_back(id);
-
-    // LIFO victims (vLLM's default): most recently admitted first, so
-    // the oldest request always survives and finishes.
-    std::vector<int64_t> victims(view.running->rbegin(),
-                                 view.running->rend());
-    planPagedStep(view, limits, std::move(prefillable),
-                  std::move(decodable), std::move(victims),
-                  last_step_was_prefill_, out);
-    return out;
-}
-
-namespace {
-
 /** Deadline class for goodput ordering: 0 = live SLO (still winnable),
     1 = best-effort (no SLO to win), 2 = missed (goodput already lost). */
 int
@@ -279,13 +212,22 @@ deadlineOf(const RequestState &state)
 } // namespace
 
 BatchPlan
+FcfsScheduler::plan(const SchedulerView &view, const SchedulerLimits &limits)
+{
+    TILUS_CHECK(view.states != nullptr && view.queued != nullptr &&
+                view.running != nullptr && view.kv_pool != nullptr);
+    BatchPlan out;
+    admit(view, limits, *view.queued, /*bypass=*/false, out);
+    planPagedStep(view, limits, MoreUrgent(), last_step_was_prefill_, out);
+    return out;
+}
+
+BatchPlan
 SloScheduler::plan(const SchedulerView &view, const SchedulerLimits &limits)
 {
     TILUS_CHECK(view.states != nullptr && view.queued != nullptr &&
                 view.running != nullptr && view.kv_pool != nullptr);
     const std::vector<RequestState> &states = *view.states;
-    const KvPagePool &pool = *view.kv_pool;
-    BatchPlan out;
 
     // Most urgent first: still-winnable deadlines (earliest first), then
     // best-effort, then already-missed; arrival order breaks ties.
@@ -309,48 +251,13 @@ SloScheduler::plan(const SchedulerView &view, const SchedulerLimits &limits)
     std::vector<int64_t> by_urgency(view.queued->begin(),
                                     view.queued->end());
     std::sort(by_urgency.begin(), by_urgency.end(), more_urgent);
-    int64_t running = static_cast<int64_t>(view.running->size());
-    int64_t free_budget = pool.freePages();
-    for (int64_t id : by_urgency) {
-        if (running >= limits.max_batch)
-            break;
-        const int64_t need =
-            pool.pagesForTokens(states[id].prefill_target_tokens);
-        if (need > free_budget)
-            continue;
-        out.admit.push_back(id);
-        ++running;
-        free_budget -= need;
-    }
-
-    std::vector<int64_t> prefillable;
-    std::vector<int64_t> decodable;
-    for (int64_t id : *view.running) {
-        const RequestState &state = states[id];
-        if (state.prefilled_tokens < state.prefill_target_tokens)
-            prefillable.push_back(id);
-        else
-            decodable.push_back(id);
-    }
-    for (int64_t id : out.admit)
-        prefillable.push_back(id);
-    // The chunk goes to the most urgent prefillable request.
-    std::sort(prefillable.begin(), prefillable.end(), more_urgent);
-
-    // Victims in reverse urgency — missed deadlines and best-effort
-    // work pay for pages before any still-winnable request does — so
-    // each preemption costs the least goodput. The step's own primary
-    // request is excluded by planPagedStep, which is what guarantees
-    // forward progress.
-    std::vector<int64_t> victims(view.running->begin(),
-                                 view.running->end());
-    std::sort(victims.begin(), victims.end(),
-              [&](int64_t a, int64_t b) { return more_urgent(b, a); });
-    std::sort(decodable.begin(), decodable.end(), more_urgent);
-
-    planPagedStep(view, limits, std::move(prefillable),
-                  std::move(decodable), std::move(victims),
-                  last_step_was_prefill_, out);
+    BatchPlan out;
+    admit(view, limits, by_urgency, /*bypass=*/true, out);
+    // The chunk goes to the most urgent prefillable request, and victims
+    // go in reverse urgency — missed deadlines and best-effort work pay
+    // for pages before any still-winnable request does — so each
+    // preemption costs the least goodput.
+    planPagedStep(view, limits, more_urgent, last_step_was_prefill_, out);
     return out;
 }
 

@@ -9,19 +9,25 @@
  * like the paper's, prices the two separately and never mixes them in a
  * single iteration.
  *
- * KV accounting comes in two modes, selected by
- * SchedulerLimits::kv_page_tokens:
+ * KV accounting runs on one KvPagePool (SchedulerView::kv_pool) in two
+ * modes, selected by SchedulerLimits::kv_page_tokens:
  *
- *  - reservation (0, the default): admission reserves each request's
- *    full `prompt + output` demand up front. Conservative and
- *    preemption-free — an admitted request can never run out of KV.
- *  - paged (> 0): a KvPagePool hands out fixed-size pages on demand as
- *    context grows. Admission only needs headroom for the prompt, so
- *    batches run fuller; the price is that the pool can run dry
- *    mid-decode, and the policy must then plan preemptions
- *    (BatchPlan::preempt) to free pages. Preempted requests drop their
- *    KV and re-queue; on re-admission they recompute it
- *    (Sarathi/vLLM-style recompute-on-resume).
+ *  - reservation (0, the default): the pool has 1-token pages and an
+ *    admitted request holds its full `prompt + output` demand from
+ *    admission on. Conservative and preemption-free — an admitted
+ *    request can never run out of KV.
+ *  - paged (> 0): pages are handed out on demand as context grows.
+ *    Admission only needs headroom for the prefill target, so batches
+ *    run fuller; the price is that the pool can run dry mid-decode,
+ *    and the policy must then plan preemptions (BatchPlan::preempt) to
+ *    free pages. Preempted requests drop their KV and re-queue; on
+ *    re-admission they recompute it (Sarathi/vLLM-style
+ *    recompute-on-resume).
+ *
+ * The three policies share one step planner: one admission loop, one
+ * prefillable/decodable partition, and one alternation of prefill and
+ * decode steps that plans preemptions when the pool is short. They
+ * differ only in the order they consider requests in.
  *
  * Resource limits (max concurrent requests, total KV pages or tokens)
  * come from the engine's construction-time reservation; policies must
@@ -119,11 +125,8 @@ struct SchedulerView
     const std::vector<RequestState> *states = nullptr;
     const std::deque<int64_t> *queued = nullptr;  ///< preempted first, then arrival order
     const std::vector<int64_t> *running = nullptr; ///< admission order
-    /** Reservation mode: sum of running demands. Paged mode: KV entries
-        materialized across running requests. */
-    int64_t kv_reserved_tokens = 0;
-    /** The page pool in paged mode (free/held/pagesForTokens queries);
-        null in reservation mode. */
+    /** The KV ledger (free/held/pagesForTokens queries), in both modes;
+        in reservation mode its pages are single tokens. */
     const KvPagePool *kv_pool = nullptr;
 };
 
@@ -146,8 +149,6 @@ struct BatchPlan
     std::vector<int64_t> admit;        ///< queued -> running, before the step
     std::vector<PrefillChunk> prefill; ///< at most 1 => prefill step
     std::vector<int64_t> decode;       ///< non-empty => decode step
-
-    int64_t prefillTokens() const;
 
     bool
     empty() const
@@ -181,35 +182,21 @@ class Scheduler
 };
 
 /**
- * First-come-first-served admission with chunked prefill, in
- * reservation mode. Admission is strict FCFS: queued requests are
- * admitted in arrival order until one does not fit (no bypass), which
- * keeps per-request wait times predictable and makes back-pressure
- * trivially fair. Prefill runs in chunks of at most
- * `prefill_chunk_tokens`, and the two step kinds interleave according
- * to the mode:
- *
- *  - kAlternate (default): when both prefill and decode work is
- *    pending, alternate step kinds so ongoing generations keep making
- *    progress (bounded TPOT) while new prompts still get through
- *    (bounded TTFT) — the chunked-prefill idea of Sarathi/vLLM.
- *  - kPrefillFirst: drain all pending prefill before any decode step,
- *    maximizing prompt throughput at the cost of decode stalls.
+ * First-come-first-served admission with chunked prefill. Admission is
+ * strict FCFS: queued requests are admitted in arrival order until one
+ * does not fit (no bypass), which keeps per-request wait times
+ * predictable and makes back-pressure trivially fair. Prefill runs in
+ * chunks of at most `prefill_chunk_tokens`, and when both prefill and
+ * decode work is pending the step kinds alternate, so ongoing
+ * generations keep making progress (bounded TPOT) while new prompts
+ * still get through (bounded TTFT) — the chunked-prefill idea of
+ * Sarathi/vLLM. Reservation mode only; PagedFcfsScheduler runs the same
+ * plan over a paged pool.
  */
 class FcfsScheduler : public Scheduler
 {
   public:
-    enum class Interleave
-    {
-        kAlternate,
-        kPrefillFirst,
-    };
-
-    explicit FcfsScheduler(Interleave mode = Interleave::kAlternate)
-        : mode_(mode)
-    {}
-
-    std::string name() const override;
+    std::string name() const override { return "fcfs-alternate"; }
 
     BatchPlan plan(const SchedulerView &view,
                    const SchedulerLimits &limits) override;
@@ -217,33 +204,24 @@ class FcfsScheduler : public Scheduler
     void reset() override { last_step_was_prefill_ = false; }
 
   private:
-    Interleave mode_;
     bool last_step_was_prefill_ = false;
 };
 
 /**
- * The paged-accounting FCFS baseline: same strict arrival-order
- * admission and alternate interleaving as FcfsScheduler, but admission
- * only requires page headroom for the request's prefill target (not its
- * full demand), so batches run fuller. When the chosen step needs more
- * pages than the pool has free, the most recently admitted running
- * request is preempted (LIFO victim order, vLLM's default): the oldest
- * request is never a victim, which guarantees forward progress.
+ * The paged-accounting FCFS baseline: FcfsScheduler's plan over a paged
+ * pool. Admission only requires page headroom for the request's prefill
+ * target (not its full demand), so batches run fuller. When the chosen
+ * step needs more pages than the pool has free, the most recently
+ * admitted running request is preempted (LIFO victim order, vLLM's
+ * default): the oldest request is never a victim, which guarantees
+ * forward progress.
  */
-class PagedFcfsScheduler : public Scheduler
+class PagedFcfsScheduler : public FcfsScheduler
 {
   public:
     std::string name() const override { return "fcfs-paged"; }
 
-    BatchPlan plan(const SchedulerView &view,
-                   const SchedulerLimits &limits) override;
-
     bool pagedAware() const override { return true; }
-
-    void reset() override { last_step_was_prefill_ = false; }
-
-  private:
-    bool last_step_was_prefill_ = false;
 };
 
 /**

@@ -125,9 +125,12 @@ Simulator::run(const Trace &trace)
     obs::Registry::instance()
         .counter("serving_requests_total")
         .add(static_cast<int64_t>(trace.requests.size()));
-    // One pool per run; ids into `states` double as page owners.
+    // The one KV ledger, one per run: paged mode's pages, or 1-token
+    // pages that reservation mode grows to a request's whole demand on
+    // admission. Ids into `states` double as page owners.
     KvPagePool pool(limits.kv_capacity_tokens,
                     paged ? limits.kv_page_tokens : 1);
+    const int64_t token_cap = pool.totalPages() * pool.pageTokens();
 
     // Request states indexed by position; scheduler ids are indices.
     std::vector<RequestState> states;
@@ -162,9 +165,7 @@ Simulator::run(const Trace &trace)
     report.total_requests = total;
     report.batch_histogram.assign(limits.max_batch + 1, 0);
     report.kv_page_tokens = paged ? limits.kv_page_tokens : 0;
-    report.kv_capacity_tokens =
-        paged ? pool.totalPages() * pool.pageTokens()
-              : limits.kv_capacity_tokens;
+    report.kv_capacity_tokens = token_cap;
 
     std::deque<int64_t> queued;
     std::vector<int64_t> running;
@@ -175,18 +176,14 @@ Simulator::run(const Trace &trace)
     using Delayed = std::pair<double, int64_t>;
     std::priority_queue<Delayed, std::vector<Delayed>, std::greater<Delayed>>
         delayed;
-    int64_t kv_reserved = 0;    ///< reservation mode: sum of demands
-    int64_t kv_used_tokens = 0; ///< both modes: materialized KV entries
+    int64_t kv_used_tokens = 0; ///< materialized KV entries
     int64_t finished = 0;
     double now = 0;
 
     // Submit a request: immediately reject the unservable, queue the
-    // rest. Returns whether the request was queued. In paged mode the
-    // feasibility bound is the pool's whole-page capacity: a request
-    // whose maximal working set cannot be paged can never finish.
-    const int64_t token_cap =
-        paged ? pool.totalPages() * pool.pageTokens()
-              : limits.kv_capacity_tokens;
+    // rest. Returns whether the request was queued. The feasibility
+    // bound is the pool's whole-page capacity: a request whose maximal
+    // working set cannot be paged can never finish.
     const int64_t request_cap =
         limits.max_request_tokens > 0
             ? std::min(limits.max_request_tokens, token_cap)
@@ -231,11 +228,36 @@ Simulator::run(const Trace &trace)
             injectNext(0.0);
     }
 
+    // The one release path. Preemption, step-fault eviction and
+    // completion take a request off the running set and return its KV.
+    // Unless it finished, its whole context (prompt + generated so far)
+    // is recomputed on its next admission.
+    auto release = [&](int64_t id, Phase next) {
+        RequestState &state = states[id];
+        auto it = std::find(running.begin(), running.end(), id);
+        TILUS_CHECK(it != running.end());
+        running.erase(it);
+        pool.release(id);
+        kv_used_tokens -= state.kv_tokens;
+        state.kv_tokens = 0;
+        state.phase = next;
+        if (next != Phase::kFinished) {
+            state.prefilled_tokens = 0;
+            state.prefill_target_tokens =
+                state.request.prompt_tokens + state.generated_tokens;
+        }
+    };
+
     // Incremental accumulation: sketches and series absorb each finish
     // and step as they happen — no per-request metric vectors.
     MetricTracker tracker(options_.series_window_ms);
     double busy_end_ms = 0; ///< clock after the last engine step
     int64_t safety = 0;
+    SchedulerView view;
+    view.states = &states;
+    view.queued = &queued;
+    view.running = &running;
+    view.kv_pool = &pool;
 
     while (finished < total) {
         TILUS_CHECK_MSG(++safety < (1 << 26),
@@ -259,22 +281,15 @@ Simulator::run(const Trace &trace)
             std::max(report.max_queue_depth,
                      static_cast<int64_t>(queued.size()));
 
-        SchedulerView view;
         view.now_ms = now;
-        view.states = &states;
-        view.queued = &queued;
-        view.running = &running;
-        view.kv_reserved_tokens = paged ? kv_used_tokens : kv_reserved;
-        view.kv_pool = paged ? &pool : nullptr;
         BatchPlan plan = scheduler_.plan(view, limits);
         TILUS_FATAL_IF(!plan.prefill.empty() && !plan.decode.empty(),
                        scheduler_.name()
                            << " planned prefill and decode in one step");
 
         // Apply preemptions first: they free pages the admissions and
-        // the step below may depend on. A preempted request drops its
-        // KV, re-queues at the front, and recomputes the whole context
-        // (prompt + generated so far) on its next admission.
+        // the step below may depend on. A preempted request re-queues at
+        // the front.
         TILUS_FATAL_IF(!paged && !plan.preempt.empty(),
                        scheduler_.name()
                            << " planned a preemption in reservation mode");
@@ -288,16 +303,7 @@ Simulator::run(const Trace &trace)
                                state.phase != Phase::kDecode,
                            scheduler_.name()
                                << " preempted non-running id " << id);
-            auto it = std::find(running.begin(), running.end(), id);
-            TILUS_CHECK(it != running.end());
-            running.erase(it);
-            pool.release(id);
-            kv_used_tokens -= state.kv_tokens;
-            state.kv_tokens = 0;
-            state.prefilled_tokens = 0;
-            state.prefill_target_tokens =
-                state.request.prompt_tokens + state.generated_tokens;
-            state.phase = Phase::kQueued;
+            release(id, Phase::kQueued);
             ++state.preemptions;
             ++report.preemptions;
             obs::Registry::instance()
@@ -336,17 +342,18 @@ Simulator::run(const Trace &trace)
             if (state.admitted_ms < 0)
                 state.admitted_ms = now; // queue wait = first admission
             running.push_back(id);
+            // Reservation mode holds the whole demand from admission on;
+            // paged mode grows as the steps below materialize KV.
             if (!paged)
-                kv_reserved += state.kvDemandTokens();
+                TILUS_FATAL_IF(!pool.grow(id, state.kvDemandTokens()),
+                               scheduler_.name()
+                                   << " over-subscribed the KV cache "
+                                      "admitting request "
+                                   << state.request.id);
         }
         TILUS_FATAL_IF(
             static_cast<int64_t>(running.size()) > limits.max_batch,
             scheduler_.name() << " exceeded max_batch: " << running.size());
-        TILUS_FATAL_IF(!paged && kv_reserved > limits.kv_capacity_tokens,
-                       scheduler_.name()
-                           << " over-subscribed the KV cache: "
-                           << kv_reserved << " > "
-                           << limits.kv_capacity_tokens);
 
         if (plan.empty()) {
             TILUS_FATAL_IF(!plan.preempt.empty() || !plan.admit.empty(),
@@ -407,23 +414,11 @@ Simulator::run(const Trace &trace)
                 tracer.asyncInstant(vpid, "request", "step-fault", victim,
                                     now);
 
-            auto it = std::find(running.begin(), running.end(), victim);
-            TILUS_CHECK(it != running.end());
-            running.erase(it);
-            if (paged)
-                pool.release(victim);
-            else
-                kv_reserved -= state.kvDemandTokens();
-            kv_used_tokens -= state.kv_tokens;
-            state.kv_tokens = 0;
-            state.prefilled_tokens = 0;
-            state.prefill_target_tokens =
-                state.request.prompt_tokens + state.generated_tokens;
+            const support::RetryPolicy &policy = options_.step_faults;
             ++state.fault_retries;
-
-            const auto &policy = options_.step_faults;
-            if (state.fault_retries > policy.max_retries) {
-                state.phase = Phase::kFailed;
+            const bool exhausted = state.fault_retries >= policy.max_attempts;
+            release(victim, exhausted ? Phase::kFailed : Phase::kQueued);
+            if (exhausted) {
                 state.finish_ms = now + step_ms;
                 ++finished;
                 ++report.failed;
@@ -442,14 +437,10 @@ Simulator::run(const Trace &trace)
                 if (closed_loop)
                     injectNext(now + step_ms);
             } else {
-                state.phase = Phase::kQueued;
                 ++report.retries;
-                support::RetryPolicy curve;
-                curve.base_ms = policy.backoff_base_ms;
-                curve.mult = policy.backoff_mult;
                 // Retry k of the request is its attempt k + 1.
                 delayed.emplace(now + step_ms +
-                                    curve.backoffMs(static_cast<int>(
+                                    policy.backoffMs(static_cast<int>(
                                         state.fault_retries + 1)),
                                 victim);
             }
@@ -470,14 +461,11 @@ Simulator::run(const Trace &trace)
                         state.prefill_target_tokens,
                 scheduler_.name() << " planned an invalid chunk of "
                                   << chunk.tokens << " tokens");
-            if (paged)
-                TILUS_FATAL_IF(
-                    !pool.grow(chunk.id,
-                               state.prefilled_tokens + chunk.tokens),
-                    scheduler_.name()
-                        << " ran out of KV pages prefilling request "
-                        << state.request.id
-                        << " without planning a preemption");
+            TILUS_FATAL_IF(
+                !pool.grow(chunk.id, state.prefilled_tokens + chunk.tokens),
+                scheduler_.name()
+                    << " ran out of KV pages prefilling request "
+                    << state.request.id << " without planning a preemption");
             step_ms = prefillCostMs(chunk.tokens, state.prefilled_tokens);
             ++report.prefill_steps;
             if (tracing) {
@@ -539,13 +527,11 @@ Simulator::run(const Trace &trace)
             for (int64_t id : plan.decode) {
                 RequestState &state = states[id];
                 TILUS_CHECK(state.phase == Phase::kDecode);
-                if (paged)
-                    TILUS_FATAL_IF(
-                        !pool.grow(id, state.kv_tokens + 1),
-                        scheduler_.name()
-                            << " ran out of KV pages decoding request "
-                            << state.request.id
-                            << " without planning a preemption");
+                TILUS_FATAL_IF(!pool.grow(id, state.kv_tokens + 1),
+                               scheduler_.name()
+                                   << " ran out of KV pages decoding request "
+                                   << state.request.id
+                                   << " without planning a preemption");
                 state.kv_tokens += 1;
                 kv_used_tokens += 1;
                 state.generated_tokens += 1;
@@ -564,18 +550,9 @@ Simulator::run(const Trace &trace)
 
         for (int64_t id : done) {
             RequestState &state = states[id];
-            state.phase = Phase::kFinished;
+            release(id, Phase::kFinished);
             state.finish_ms = now;
             tracker.onFinish(state, now);
-            if (paged) {
-                pool.release(id);
-            } else {
-                kv_reserved -= state.kvDemandTokens();
-            }
-            kv_used_tokens -= state.kv_tokens;
-            state.kv_tokens = 0;
-            running.erase(
-                std::find(running.begin(), running.end(), id));
             ++finished;
             ++report.completed;
             if (tracing)
@@ -592,8 +569,7 @@ Simulator::run(const Trace &trace)
     }
 
     // Page accounting must balance: every allocation was returned.
-    TILUS_CHECK_MSG(pool.usedPages() == 0 && kv_used_tokens == 0 &&
-                        (paged || kv_reserved == 0),
+    TILUS_CHECK_MSG(pool.usedPages() == 0 && kv_used_tokens == 0,
                     "KV accounting leaked: " << pool.usedPages()
                                              << " pages / "
                                              << kv_used_tokens

@@ -24,6 +24,7 @@
 #include "serving/metrics.h"
 #include "serving/request.h"
 #include "serving/scheduler.h"
+#include "support/retry.h"
 
 namespace tilus {
 namespace serving {
@@ -57,21 +58,15 @@ struct SimOptions
      * "serving.step", see src/support/fault.h). A failing step burns
      * its full cost, emits no tokens, and evicts the victim — the
      * request the step was serving (the prefill request, or the first
-     * decode id): its KV pages are released and it re-queues with
-     * backoff-delayed eligibility (support::RetryPolicy's curve,
-     * base_ms * mult^(retries-1) of virtual time, re-entering the
-     * queue *tail*). After max_retries
-     * faults the request terminates as Phase::kFailed instead. With no
-     * "serving.step" trigger armed this policy is inert and runs are
-     * byte-identical to a build without it.
+     * decode id): its KV is released and it re-queues at the queue
+     * *tail* once the backoff before its next attempt has passed on
+     * the virtual clock. The fault that ends attempt `max_attempts`
+     * terminates the request as Phase::kFailed instead: the default
+     * absorbs three faults and fails the request on the fourth. With
+     * no "serving.step" trigger armed this policy is inert and runs
+     * are byte-identical to a build without it.
      */
-    struct StepFaultPolicy
-    {
-        int64_t max_retries = 3;      ///< faults absorbed before kFailed
-        double backoff_base_ms = 100; ///< delay before the first retry
-        double backoff_mult = 2.0;    ///< delay growth per retry
-    };
-    StepFaultPolicy step_faults;
+    support::RetryPolicy step_faults{4, 100.0, 2.0};
 };
 
 /** Derive scheduler limits from an engine's construction-time

@@ -317,7 +317,7 @@ runPipeline(const std::string &cache_dir)
     serving::FcfsScheduler scheduler;
     serving::SimOptions sim_options;
     sim_options.limits = serving::limitsFrom(engine);
-    sim_options.step_faults.backoff_base_ms = 20;
+    sim_options.step_faults.base_ms = 20;
     serving::Simulator simulator(engine, scheduler, sim_options);
     return simulator.run(serving::poissonTrace(trace_options));
 }

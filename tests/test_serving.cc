@@ -373,9 +373,9 @@ TEST(Simulator, ChunkCostsTelescopeToOneShotPrefill)
 TEST(Simulator, AlternateModeInterleavesDecodeWithPrefill)
 {
     // Request 0 decodes a short answer while request 1 prefills a long
-    // prompt in chunks: alternating mode keeps tokens flowing between
-    // chunks so request 0 finishes during the prefill, while
-    // prefill-first stalls it until the whole prompt is drained.
+    // prompt in 20 chunks: alternating step kinds keeps tokens flowing
+    // between chunks, so request 0 finishes before request 1's prompt
+    // is drained and its first token emitted.
     FakeCost costs(1 << 20, 8);
     Trace trace;
     trace.requests.push_back({0, 0.0, 10, 10, 0});
@@ -384,21 +384,12 @@ TEST(Simulator, AlternateModeInterleavesDecodeWithPrefill)
     SimOptions options = exactOptions(costs);
     options.limits.prefill_chunk_tokens = 100;
 
-    FcfsScheduler alternate(FcfsScheduler::Interleave::kAlternate);
+    FcfsScheduler alternate;
     Simulator sim_alt(costs, alternate, options);
     ServingReport alt = sim_alt.run(trace);
 
-    FcfsScheduler drain(FcfsScheduler::Interleave::kPrefillFirst);
-    Simulator sim_drain(costs, drain, options);
-    ServingReport pf = sim_drain.run(trace);
-
     ASSERT_EQ(alt.completed, 2);
-    ASSERT_EQ(pf.completed, 2);
-    // Request 0's completion: interleaved mode beats prefill-first.
-    EXPECT_LT(alt.requests[0].finish_ms, pf.requests[0].finish_ms);
-    // Prefill-first finishes the long prompt earlier.
-    EXPECT_LE(pf.requests[1].first_token_ms,
-              alt.requests[1].first_token_ms);
+    EXPECT_LT(alt.requests[0].finish_ms, alt.requests[1].first_token_ms);
 }
 
 TEST(Simulator, ClosedLoopBoundsConcurrency)
@@ -572,12 +563,14 @@ TEST(KvPagePool, AccountingBasics)
     EXPECT_EQ(pool.pagesHeld(7), 2);
     EXPECT_EQ(pool.usedPages(), 6);
 
-    // Release returns every page; page ids recycle deterministically.
-    const std::vector<int64_t> first = pool.pageList(7);
+    // Release returns every page, and the freed pages back the next
+    // owner.
     pool.release(7);
+    EXPECT_EQ(pool.pagesHeld(7), 0);
     EXPECT_EQ(pool.freePages(), 2);
     EXPECT_TRUE(pool.grow(9, 32));
-    EXPECT_EQ(pool.pageList(9), first);
+    EXPECT_EQ(pool.pagesHeld(9), 2);
+    EXPECT_EQ(pool.freePages(), 0);
     pool.release(8);
     pool.release(9);
     EXPECT_EQ(pool.usedPages(), 0);
@@ -1107,8 +1100,8 @@ TEST(Faults, StepFaultRetryTimingIsExact)
     FakeCost costs(1024, 4);
     FcfsScheduler fcfs;
     SimOptions options = exactOptions(costs);
-    options.step_faults.backoff_base_ms = 100;
-    options.step_faults.backoff_mult = 2.0;
+    options.step_faults.base_ms = 100;
+    options.step_faults.mult = 2.0;
 
     Trace trace;
     trace.requests.push_back({0, 0.0, 100, 2, 0.0});
@@ -1143,15 +1136,15 @@ TEST(Faults, RetryBudgetExhaustionFailsTheRequest)
     FakeCost costs(1024, 4);
     FcfsScheduler fcfs;
     SimOptions options = exactOptions(costs);
-    options.step_faults.max_retries = 2;
-    options.step_faults.backoff_base_ms = 100;
-    options.step_faults.backoff_mult = 2.0;
+    options.step_faults.max_attempts = 3;
+    options.step_faults.base_ms = 100;
+    options.step_faults.mult = 2.0;
 
     Trace trace;
     trace.requests.push_back({0, 0.0, 100, 2, 0.0});
 
     // Every step faults: attempts at t=0, t=101 (1+100), t=302
-    // (102+200); the 3rd fault exceeds max_retries=2 -> kFailed at 303.
+    // (102+200); the 3rd fault ends attempt 3 of 3 -> kFailed at 303.
     fault::configure("serving.step=always");
     Simulator sim(costs, fcfs, options);
     ServingReport report = sim.run(trace);
@@ -1172,7 +1165,7 @@ TEST(Faults, ClosedLoopClientFreedOnFailure)
     FakeCost costs(1024, 4);
     FcfsScheduler fcfs;
     SimOptions options = exactOptions(costs);
-    options.step_faults.max_retries = 0; // first fault is terminal
+    options.step_faults.max_attempts = 1; // first fault is terminal
 
     TraceOptions topts;
     topts.num_requests = 12;
