@@ -6,12 +6,11 @@
  * non-zero when anything alarming happened (divergence, crash,
  * verifier gap, generator bug). Every finding prints a one-line repro:
  *
- *     TILUS_FUZZ_SEED=<seed> TILUS_FUZZ_BUDGET=1 ./build/fuzz_smoke
+ *     ./build/fuzz_smoke --seed 0x<seed> --budget 1
  *
- * Flags (env TILUS_FUZZ_SEED / TILUS_FUZZ_BUDGET applies first, argv
- * overrides):
+ * Flags (a malformed number exits 2):
  *     --seed N          master seed (0x... accepted)
- *     --budget N        programs to run
+ *     --budget N        programs to run, at least 1
  *     --plant-bug       flip an op in the O2 kernel (self-test: the
  *                       harness must report a divergence)
  *     --write-corpus D  serialize reduced findings into directory D
@@ -21,7 +20,12 @@
  *                       class, and of each dot path of the layout class,
  *                       into D as <class>_<seed>.lirk, then exit
  */
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -99,13 +103,30 @@ seedCorpus(const std::string &dir, const fuzz::FuzzConfig &config)
     return 0;
 }
 
+/** The whole of @p text as a number (0x... accepted) in [min, max];
+    anything else is a usage error and exits 2. */
+uint64_t
+parseNumber(const char *flag, const char *text, uint64_t min, uint64_t max)
+{
+    char *end = nullptr;
+    errno = 0;
+    const uint64_t v = std::strtoull(text, &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE || v < min || v > max) {
+        std::fprintf(stderr, "%s needs a number in [%llu, %llu], got '%s'\n",
+                     flag, static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(max), text);
+        std::exit(2);
+    }
+    return v;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     fuzz::FuzzConfig config;
-    fuzz::applyEnv(config);
     bool expect_findings = false;
     std::string seed_corpus_dir;
     for (int i = 1; i < argc; ++i) {
@@ -118,9 +139,10 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (std::strcmp(arg, "--seed") == 0) {
-            config.seed = std::strtoull(value(), nullptr, 0);
+            config.seed = parseNumber(arg, value(), 0, UINT64_MAX);
         } else if (std::strcmp(arg, "--budget") == 0) {
-            config.budget = std::atoi(value());
+            config.budget =
+                static_cast<int>(parseNumber(arg, value(), 1, INT_MAX));
         } else if (std::strcmp(arg, "--plant-bug") == 0) {
             config.harness.plant_engine_bug = true;
             expect_findings = true;

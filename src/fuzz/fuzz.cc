@@ -1,6 +1,5 @@
 #include "fuzz/fuzz.h"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "cache/blob_store.h"
@@ -25,25 +24,9 @@ std::string
 reproCommand(uint64_t seed)
 {
     std::ostringstream oss;
-    oss << "TILUS_FUZZ_SEED=0x" << std::hex << seed
-        << " TILUS_FUZZ_BUDGET=1 ./build/fuzz_smoke";
+    oss << "./build/fuzz_smoke --seed 0x" << std::hex << seed
+        << " --budget 1";
     return oss.str();
-}
-
-void
-applyEnv(FuzzConfig &config)
-{
-    if (const char *seed = std::getenv("TILUS_FUZZ_SEED")) {
-        char *end = nullptr;
-        const uint64_t v = std::strtoull(seed, &end, 0);
-        if (end != seed)
-            config.seed = v;
-    }
-    if (const char *budget = std::getenv("TILUS_FUZZ_BUDGET")) {
-        const long v = std::strtol(budget, nullptr, 10);
-        if (v > 0)
-            config.budget = static_cast<int>(v);
-    }
 }
 
 bool

@@ -1,13 +1,13 @@
 /**
  * @file
  * The fuzzing driver: seed chain, budget loop, finding minimization,
- * corpus serialization, env plumbing, and obs metrics.
+ * corpus serialization, and obs metrics.
  *
  * Reproducibility contract: a run is fully determined by (seed, budget).
  * The i-th program's seed is the i-th element of the splitmix64 chain
  * starting at the master seed, so any finding reduces to a one-liner:
  *
- *     TILUS_FUZZ_SEED=<finding seed> TILUS_FUZZ_BUDGET=1 ./build/fuzz_smoke
+ *     ./build/fuzz_smoke --seed 0x<finding seed> --budget 1
  *
  * which regenerates exactly the failing program. FuzzReport::checksum
  * folds every generated kernel's serialized bytes and verdict, so two
@@ -87,9 +87,6 @@ struct FuzzReport
 
 /** Run the full generate -> 6-leg diff -> minimize loop. */
 FuzzReport runFuzz(const FuzzConfig &config);
-
-/** Overlay TILUS_FUZZ_SEED / TILUS_FUZZ_BUDGET onto @p config. */
-void applyEnv(FuzzConfig &config);
 
 /** The one-line reproduction command for a per-program seed. */
 std::string reproCommand(uint64_t seed);

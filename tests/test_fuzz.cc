@@ -78,26 +78,8 @@ TEST(Fuzz, SeedChainIsSplitmix)
     // Fixed chain: the repro one-liner depends on this never changing.
     EXPECT_EQ(fuzz::nextSeed(0), 0xe220a8397b1dcdafULL);
     EXPECT_NE(fuzz::nextSeed(1), fuzz::nextSeed(2));
-    EXPECT_NE(fuzz::reproCommand(0xabc).find("TILUS_FUZZ_SEED=0xabc"),
-              std::string::npos);
-    EXPECT_NE(fuzz::reproCommand(1).find("TILUS_FUZZ_BUDGET=1"),
-              std::string::npos);
-}
-
-TEST(Fuzz, EnvOverridesConfig)
-{
-    ::setenv("TILUS_FUZZ_SEED", "0xdead", 1);
-    ::setenv("TILUS_FUZZ_BUDGET", "7", 1);
-    fuzz::FuzzConfig config;
-    fuzz::applyEnv(config);
-    ::unsetenv("TILUS_FUZZ_SEED");
-    ::unsetenv("TILUS_FUZZ_BUDGET");
-    EXPECT_EQ(config.seed, 0xdeadu);
-    EXPECT_EQ(config.budget, 7);
-
-    fuzz::FuzzConfig untouched;
-    fuzz::applyEnv(untouched); // no env set: defaults survive
-    EXPECT_EQ(untouched.budget, fuzz::FuzzConfig{}.budget);
+    EXPECT_EQ(fuzz::reproCommand(0xabc),
+              "./build/fuzz_smoke --seed 0xabc --budget 1");
 }
 
 TEST(Fuzz, GeneratorIsDeterministic)
