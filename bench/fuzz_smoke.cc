@@ -9,7 +9,7 @@
  *     ./build/fuzz_smoke --seed 0x<seed> --budget 1
  *
  * Flags (a malformed number exits 2):
- *     --seed N          master seed (0x... accepted)
+ *     --seed N          master seed (decimal, or hex after 0x)
  *     --budget N        programs to run, at least 1
  *     --plant-bug       flip an op in the O2 kernel (self-test: the
  *                       harness must report a divergence)
@@ -103,14 +103,15 @@ seedCorpus(const std::string &dir, const fuzz::FuzzConfig &config)
     return 0;
 }
 
-/** The whole of @p text as a number (0x... accepted) in [min, max];
-    anything else is a usage error and exits 2. */
+/** The whole of @p text as a decimal or 0x-prefixed hex number in
+    [min, max]; anything else is a usage error and exits 2. */
 uint64_t
 parseNumber(const char *flag, const char *text, uint64_t min, uint64_t max)
 {
+    const bool hex = text[0] == '0' && (text[1] == 'x' || text[1] == 'X');
     char *end = nullptr;
     errno = 0;
-    const uint64_t v = std::strtoull(text, &end, 0);
+    const uint64_t v = std::strtoull(text, &end, hex ? 16 : 10);
     if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
         errno == ERANGE || v < min || v > max) {
         std::fprintf(stderr, "%s needs a number in [%llu, %llu], got '%s'\n",
