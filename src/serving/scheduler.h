@@ -84,11 +84,11 @@ struct RequestState
     int64_t prefill_target_tokens = 0;
 
     /** KV-cache tokens this request occupies once fully served. In
-        reservation mode the scheduler reserves the full demand at
-        admission, which is what guarantees a running request can never
-        hit OOM mid-flight; in paged mode this is only the admission
-        feasibility bound (a request whose demand exceeds the pool can
-        never finish). */
+        reservation mode it holds the full demand in the pool from
+        admission on, which is what guarantees a running request can
+        never hit OOM mid-flight; in paged mode this is only the
+        admission feasibility bound (a request whose demand exceeds the
+        pool can never finish). */
     int64_t
     kvDemandTokens() const
     {

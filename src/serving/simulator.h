@@ -10,7 +10,9 @@
  * metrics of metrics.h. Time advances only by engine-step costs
  * (decodeMs / prefillMs) and by idle jumps to the next arrival or next
  * retry eligibility, so runs are exactly reproducible from the trace
- * and fault spec alone.
+ * and fault spec alone. Both KV modes keep their books in one
+ * KvPagePool per run, and preemption, step-fault eviction and
+ * completion return a request's KV through one release path.
  *
  * Cost lookups are bucketed (next power of two for decode batch sizes,
  * next multiple of `prefill_cost_bucket` for prefill chunks) the same
