@@ -8,6 +8,8 @@
  *
  *     ./build/fuzz_smoke --seed 0x<seed> --budget 1
  *
+ * and a run with --plant-bug prints it with --plant-bug appended.
+ *
  * Flags (a malformed number exits 2):
  *     --seed N          master seed (decimal, or hex after 0x)
  *     --budget N        programs to run, at least 1

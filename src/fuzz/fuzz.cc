@@ -21,11 +21,13 @@ nextSeed(uint64_t seed)
 }
 
 std::string
-reproCommand(uint64_t seed)
+reproCommand(uint64_t seed, bool planted_bug)
 {
     std::ostringstream oss;
     oss << "./build/fuzz_smoke --seed 0x" << std::hex << seed
         << " --budget 1";
+    if (planted_bug)
+        oss << " --plant-bug";
     return oss.str();
 }
 
@@ -94,7 +96,7 @@ runFuzz(const FuzzConfig &config)
             f.verdict = Verdict::kVerifierReject;
             f.bug_class = "generator";
             f.detail = e.what();
-            f.repro = reproCommand(seed);
+            f.repro = reproCommand(seed, config.harness.plant_engine_bug);
             report.findings.push_back(std::move(f));
             report.checksum = mix64(report.checksum ^ mix64(seed));
             continue;
@@ -122,7 +124,7 @@ runFuzz(const FuzzConfig &config)
                 f.detail = "verifier accepted a must-reject program (" +
                            std::string(verdictName(hr.verdict)) + ": " +
                            hr.detail + ")";
-                f.repro = reproCommand(seed);
+                f.repro = reproCommand(seed, config.harness.plant_engine_bug);
                 f.reduced = gen.program;
                 f.reduced_instructions = countInstructions(gen.program);
                 report.findings.push_back(std::move(f));
@@ -154,7 +156,7 @@ runFuzz(const FuzzConfig &config)
         f.bug_class = gen.bug_class;
         f.failing_leg = hr.failing_leg;
         f.detail = hr.detail;
-        f.repro = reproCommand(seed);
+        f.repro = reproCommand(seed, config.harness.plant_engine_bug);
         f.reduced = gen.program;
         if (config.minimize && minimized < config.max_minimized) {
             ++minimized;

@@ -9,7 +9,8 @@
  *
  *     ./build/fuzz_smoke --seed 0x<finding seed> --budget 1
  *
- * which regenerates exactly the failing program. FuzzReport::checksum
+ * which regenerates exactly the failing program (with `--plant-bug`
+ * appended when the harness planted the engine bug). FuzzReport::checksum
  * folds every generated kernel's serialized bytes and verdict, so two
  * runs with the same seed are byte-equal end to end (pinned by
  * tests/test_fuzz.cc).
@@ -88,8 +89,10 @@ struct FuzzReport
 /** Run the full generate -> 6-leg diff -> minimize loop. */
 FuzzReport runFuzz(const FuzzConfig &config);
 
-/** The one-line reproduction command for a per-program seed. */
-std::string reproCommand(uint64_t seed);
+/** The one-line reproduction command for a per-program seed; with
+    @p planted_bug it plants the bug again (`--plant-bug`), since the
+    finding it reproduces needs it. */
+std::string reproCommand(uint64_t seed, bool planted_bug = false);
 
 /** Next element of the master seed chain (splitmix64). */
 uint64_t nextSeed(uint64_t seed);

@@ -34,12 +34,19 @@ KvPagePool::pagesHeld(int64_t owner) const
                : 0;
 }
 
+int64_t
+KvPagePool::pagesLacking(int64_t owner, int64_t tokens) const
+{
+    const int64_t held = pagesHeld(owner);
+    return tokens <= held * page_tokens_ ? 0 : pagesForTokens(tokens) - held;
+}
+
 bool
 KvPagePool::grow(int64_t owner, int64_t kv_tokens)
 {
     TILUS_CHECK(owner >= 0);
-    const int64_t more = pagesForTokens(kv_tokens) - pagesHeld(owner);
-    if (more <= 0)
+    const int64_t more = pagesLacking(owner, kv_tokens);
+    if (more == 0)
         return true;
     if (more > free_pages_)
         return false;

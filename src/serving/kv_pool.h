@@ -51,6 +51,13 @@ class KvPagePool
     int64_t pagesHeld(int64_t owner) const;
 
     /**
+     * Pages @p owner lacks to cover @p tokens KV entries: 0, without
+     * dividing, when its pages already cover them. The planner and the
+     * event loop ask this for every decoding request on every step.
+     */
+    int64_t pagesLacking(int64_t owner, int64_t tokens) const;
+
+    /**
      * Ensure @p owner holds enough pages to cover @p kv_tokens entries.
      * Returns false — with the pool untouched — when the free pages
      * cannot cover the growth; the caller (a policy planning a step, or

@@ -50,6 +50,7 @@ poissonTrace(const TraceOptions &options)
     Rng rng(options.seed);
     const double mean_gap_ms = 1000.0 / options.rate_rps;
     Trace trace;
+    trace.requests.reserve(static_cast<size_t>(options.num_requests));
     double now_ms = 0;
     for (int64_t i = 0; i < options.num_requests; ++i) {
         Request request = drawRequest(options, rng, i);
@@ -73,6 +74,7 @@ burstyTrace(const TraceOptions &options, int64_t burst)
     const double mean_gap_ms =
         1000.0 / options.rate_rps * static_cast<double>(burst);
     Trace trace;
+    trace.requests.reserve(static_cast<size_t>(options.num_requests));
     double now_ms = 0;
     for (int64_t i = 0; i < options.num_requests; ++i) {
         if (i % burst == 0)
@@ -92,6 +94,7 @@ closedLoopTrace(const TraceOptions &options, int64_t clients)
                    "closed loop needs at least one client");
     Rng rng(options.seed);
     Trace trace;
+    trace.requests.reserve(static_cast<size_t>(options.num_requests));
     trace.closed_loop_clients = clients;
     for (int64_t i = 0; i < options.num_requests; ++i)
         trace.requests.push_back(drawRequest(options, rng, i));

@@ -93,10 +93,8 @@ freePagesAfterPreempting(const SchedulerView &view,
         if (in_decode != decodable.end()) {
             // The victim no longer decodes this step: its page need
             // (one more KV entry) leaves the bill.
-            const RequestState &state = states[victim];
             pages_needed -=
-                pool.pagesForTokens(state.kv_tokens + 1) -
-                pool.pagesHeld(victim);
+                pool.pagesLacking(victim, states[victim].kv_tokens + 1);
             decodable.erase(in_decode);
         }
     }
@@ -110,17 +108,21 @@ freePagesAfterPreempting(const SchedulerView &view,
  * request, alternating with a decode step over every decodable one, and
  * preempts victims (least urgent first) when the pool is short. Without
  * @p more_urgent requests keep admission order and victims are LIFO.
+ * The partition and the victims are rebuilt in @p lists.
  */
 void
 planPagedStep(const SchedulerView &view, const SchedulerLimits &limits,
               const MoreUrgent &more_urgent, bool &last_step_was_prefill,
-              BatchPlan &out)
+              PlannerLists &lists, BatchPlan &out)
 {
     const KvPagePool &pool = *view.kv_pool;
     const std::vector<RequestState> &states = *view.states;
 
-    std::vector<int64_t> prefillable;
-    std::vector<int64_t> decodable;
+    std::vector<int64_t> &prefillable = lists.prefillable;
+    std::vector<int64_t> &decodable = lists.decodable;
+    std::vector<int64_t> &victims = lists.victims;
+    prefillable.clear();
+    decodable.clear();
     for (int64_t id : *view.running) {
         const RequestState &state = states[id];
         if (state.prefilled_tokens < state.prefill_target_tokens)
@@ -132,8 +134,7 @@ planPagedStep(const SchedulerView &view, const SchedulerLimits &limits,
         prefillable.push_back(id); // freshly admitted: nothing prefilled
     // Without an urgency order victims are LIFO, as in vLLM: most
     // recently admitted first, so the oldest request survives.
-    std::vector<int64_t> victims(view.running->rbegin(),
-                                 view.running->rend());
+    victims.assign(view.running->rbegin(), view.running->rend());
     if (more_urgent) {
         std::sort(prefillable.begin(), prefillable.end(), more_urgent);
         std::sort(decodable.begin(), decodable.end(), more_urgent);
@@ -151,8 +152,7 @@ planPagedStep(const SchedulerView &view, const SchedulerLimits &limits,
             std::min(limits.prefill_chunk_tokens,
                      state.prefill_target_tokens - state.prefilled_tokens);
         int64_t needed =
-            pool.pagesForTokens(state.prefilled_tokens + chunk) -
-            pool.pagesHeld(id);
+            pool.pagesLacking(id, state.prefilled_tokens + chunk);
         // No decode runs this step: victims must not discount a bill
         // they are not part of.
         std::vector<int64_t> no_decode;
@@ -178,14 +178,15 @@ planPagedStep(const SchedulerView &view, const SchedulerLimits &limits,
                       victims.end());
         int64_t needed = 0;
         for (int64_t id : decodable)
-            needed += pool.pagesForTokens(states[id].kv_tokens + 1) -
-                      pool.pagesHeld(id);
+            needed += pool.pagesLacking(id, states[id].kv_tokens + 1);
         const int64_t free = freePagesAfterPreempting(
             view, victims, decodable, needed, out);
         TILUS_CHECK_MSG(needed <= free,
                         "paged decode cannot make progress with "
                             << decodable.size() << " requests");
-        out.decode = std::move(decodable);
+        // Swapped, not moved: the plan's cleared list comes back, so
+        // both keep their capacity.
+        out.decode.swap(decodable);
         last_step_was_prefill = false;
     }
 }
@@ -211,19 +212,20 @@ deadlineOf(const RequestState &state)
 
 } // namespace
 
-BatchPlan
-FcfsScheduler::plan(const SchedulerView &view, const SchedulerLimits &limits)
+void
+FcfsScheduler::plan(const SchedulerView &view, const SchedulerLimits &limits,
+                    BatchPlan &out)
 {
     TILUS_CHECK(view.states != nullptr && view.queued != nullptr &&
                 view.running != nullptr && view.kv_pool != nullptr);
-    BatchPlan out;
     admit(view, limits, *view.queued, /*bypass=*/false, out);
-    planPagedStep(view, limits, MoreUrgent(), last_step_was_prefill_, out);
-    return out;
+    planPagedStep(view, limits, MoreUrgent(), last_step_was_prefill_,
+                  lists_, out);
 }
 
-BatchPlan
-SloScheduler::plan(const SchedulerView &view, const SchedulerLimits &limits)
+void
+SloScheduler::plan(const SchedulerView &view, const SchedulerLimits &limits,
+                   BatchPlan &out)
 {
     TILUS_CHECK(view.states != nullptr && view.queued != nullptr &&
                 view.running != nullptr && view.kv_pool != nullptr);
@@ -248,17 +250,15 @@ SloScheduler::plan(const SchedulerView &view, const SchedulerLimits &limits)
     // Goodput-maximizing admission: earliest-deadline-first with bypass.
     // A request that does not fit is skipped, not waited for — a
     // tight-deadline arrival overtakes queued work it can outrun.
-    std::vector<int64_t> by_urgency(view.queued->begin(),
-                                    view.queued->end());
-    std::sort(by_urgency.begin(), by_urgency.end(), more_urgent);
-    BatchPlan out;
-    admit(view, limits, by_urgency, /*bypass=*/true, out);
+    by_urgency_.assign(view.queued->begin(), view.queued->end());
+    std::sort(by_urgency_.begin(), by_urgency_.end(), more_urgent);
+    admit(view, limits, by_urgency_, /*bypass=*/true, out);
     // The chunk goes to the most urgent prefillable request, and victims
     // go in reverse urgency — missed deadlines and best-effort work pay
     // for pages before any still-winnable request does — so each
     // preemption costs the least goodput.
-    planPagedStep(view, limits, more_urgent, last_step_was_prefill_, out);
-    return out;
+    planPagedStep(view, limits, more_urgent, last_step_was_prefill_,
+                  lists_, out);
 }
 
 } // namespace serving

@@ -1,7 +1,7 @@
 /**
  * @file
  * Pluggable scheduling policies for the continuous-batching event loop.
- * Each simulator iteration the policy sees the queue state and returns a
+ * Each simulator iteration the policy sees the queue state and fills a
  * BatchPlan: which queued requests to admit, which running requests to
  * preempt (paged mode only), and whether the engine should run one
  * prefill step (a bounded chunk of prompt tokens) or one decode step
@@ -117,8 +117,9 @@ struct SchedulerLimits
 
 /** Read-only queue snapshot handed to the policy each iteration. Ids are
     indices into `states`. The containers are owned by the simulator and
-    borrowed per call — the event loop runs millions of iterations, so
-    the view must stay allocation-free. */
+    borrowed per call: the simulator builds the view once per run and
+    only moves its clock, since the event loop runs millions of
+    iterations and a step must not allocate. */
 struct SchedulerView
 {
     double now_ms = 0;
@@ -142,7 +143,9 @@ struct PrefillChunk
     loop to idle until the next arrival. A prefill step carries at most
     ONE chunk — the engine cost model prices a single request's
     (new tokens, past context) pair per step. Preemptions (paged mode
-    only) are applied before admissions and the step. */
+    only) are applied before admissions and the step. The simulator
+    owns one plan per run and clears it before each step, so its lists
+    keep their capacity. */
 struct BatchPlan
 {
     std::vector<int64_t> preempt;      ///< running -> queued, pages freed
@@ -155,6 +158,25 @@ struct BatchPlan
     {
         return prefill.empty() && decode.empty();
     }
+
+    void
+    clear()
+    {
+        preempt.clear();
+        admit.clear();
+        prefill.clear();
+        decode.clear();
+    }
+};
+
+/** The lists the shared step planner rebuilds on every call. Each
+    policy object owns one, so the lists keep their capacity from step
+    to step. */
+struct PlannerLists
+{
+    std::vector<int64_t> prefillable; ///< running, prompt not yet done
+    std::vector<int64_t> decodable;   ///< running, generating tokens
+    std::vector<int64_t> victims;     ///< preemption order
 };
 
 /** Scheduling-policy interface. Implementations may keep state across
@@ -166,15 +188,21 @@ class Scheduler
 
     virtual std::string name() const = 0;
 
-    /** Plan the next engine iteration. Must respect @p limits. */
-    virtual BatchPlan plan(const SchedulerView &view,
-                           const SchedulerLimits &limits) = 0;
+    /** Plan the next engine iteration into @p out, which arrives
+        empty. Must respect @p limits, and must not allocate per step:
+        lists the policy needs from step to step are its members and
+        are cleared, not rebuilt. */
+    virtual void plan(const SchedulerView &view,
+                      const SchedulerLimits &limits, BatchPlan &out) = 0;
 
-    /** Whether the policy understands paged KV accounting (plans
-        preemptions on out-of-pages). The simulator refuses to run a
-        paged pool under a reservation-only policy — it would admit
-        against full demands it never holds and then deadlock or
-        over-subscribe. */
+    /** Whether the policy plans for paged KV accounting (preemptions on
+        out-of-pages, admission against the prefill target). The
+        simulator runs a paged-aware policy on paged limits only, and
+        any other policy on reservation limits only: a reservation-only
+        policy on a paged pool would admit against demands it never
+        holds and then deadlock or over-subscribe, and a paged policy
+        on reservation limits would admit out of the queue order that
+        reservation mode audits. */
     virtual bool pagedAware() const { return false; }
 
     /** Called at the start of every Simulator::run. */
@@ -198,13 +226,14 @@ class FcfsScheduler : public Scheduler
   public:
     std::string name() const override { return "fcfs-alternate"; }
 
-    BatchPlan plan(const SchedulerView &view,
-                   const SchedulerLimits &limits) override;
+    void plan(const SchedulerView &view, const SchedulerLimits &limits,
+              BatchPlan &out) override;
 
     void reset() override { last_step_was_prefill_ = false; }
 
   private:
     bool last_step_was_prefill_ = false;
+    PlannerLists lists_;
 };
 
 /**
@@ -246,8 +275,8 @@ class SloScheduler : public Scheduler
   public:
     std::string name() const override { return "slo-paged"; }
 
-    BatchPlan plan(const SchedulerView &view,
-                   const SchedulerLimits &limits) override;
+    void plan(const SchedulerView &view, const SchedulerLimits &limits,
+              BatchPlan &out) override;
 
     bool pagedAware() const override { return true; }
 
@@ -255,6 +284,8 @@ class SloScheduler : public Scheduler
 
   private:
     bool last_step_was_prefill_ = false;
+    PlannerLists lists_;
+    std::vector<int64_t> by_urgency_; ///< the queue, most urgent first
 };
 
 } // namespace serving

@@ -46,6 +46,10 @@ Simulator::Simulator(llm::StepCostModel &costs, Scheduler &scheduler,
                    scheduler_.name()
                        << " does not understand paged KV accounting; "
                           "use a paged-aware policy or kv_page_tokens=0");
+    TILUS_FATAL_IF(!options_.limits.paged() && scheduler_.pagedAware(),
+                   scheduler_.name()
+                       << " plans for paged KV accounting; use "
+                          "kv_page_tokens > 0 or a reservation policy");
 }
 
 void
@@ -258,6 +262,11 @@ Simulator::run(const Trace &trace)
     view.queued = &queued;
     view.running = &running;
     view.kv_pool = &pool;
+    // One plan and one list of each kind per run: a step clears them and
+    // reuses their capacity, so steady state allocates nothing.
+    BatchPlan plan;
+    std::vector<int64_t> done;          ///< finished by this step
+    std::vector<int64_t> sorted_decode; ///< the duplicate-decode audit
 
     while (finished < total) {
         TILUS_CHECK_MSG(++safety < (1 << 26),
@@ -282,7 +291,8 @@ Simulator::run(const Trace &trace)
                      static_cast<int64_t>(queued.size()));
 
         view.now_ms = now;
-        BatchPlan plan = scheduler_.plan(view, limits);
+        plan.clear();
+        scheduler_.plan(view, limits, plan);
         TILUS_FATAL_IF(!plan.prefill.empty() && !plan.decode.empty(),
                        scheduler_.name()
                            << " planned prefill and decode in one step");
@@ -306,9 +316,6 @@ Simulator::run(const Trace &trace)
             release(id, Phase::kQueued);
             ++state.preemptions;
             ++report.preemptions;
-            obs::Registry::instance()
-                .counter("serving_preemptions_total")
-                .add();
             tracker.onPreempt(now);
             if (tracing)
                 tracer.asyncInstant(vpid, "request", "preempt", id, now);
@@ -382,7 +389,7 @@ Simulator::run(const Trace &trace)
             break; // only rejected stragglers remained
         }
 
-        std::vector<int64_t> done; // finished by this step
+        done.clear();
         double step_ms = 0;
         int64_t step_tokens = 0; ///< output tokens emitted by this step
         int64_t step_batch = 0;  ///< decode batch size (0 = prefill)
@@ -407,9 +414,6 @@ Simulator::run(const Trace &trace)
                     : decodeCostMs(
                           static_cast<int64_t>(plan.decode.size()));
             ++report.injected_faults;
-            obs::Registry::instance()
-                .counter("serving_step_faults_total")
-                .add();
             if (tracing)
                 tracer.asyncInstant(vpid, "request", "step-fault", victim,
                                     now);
@@ -422,9 +426,6 @@ Simulator::run(const Trace &trace)
                 state.finish_ms = now + step_ms;
                 ++finished;
                 ++report.failed;
-                obs::Registry::instance()
-                    .counter("serving_failed_total")
-                    .add();
                 if (tracing) {
                     tracer.asyncInstant(vpid, "request", "failed", victim,
                                         now + step_ms);
@@ -507,10 +508,11 @@ Simulator::run(const Trace &trace)
                            scheduler_.name()
                                << " planned a decode batch of " << batch
                                << " > max_batch " << limits.max_batch);
-            std::vector<int64_t> unique = plan.decode;
-            std::sort(unique.begin(), unique.end());
-            TILUS_FATAL_IF(std::adjacent_find(unique.begin(),
-                                              unique.end()) != unique.end(),
+            sorted_decode.assign(plan.decode.begin(), plan.decode.end());
+            std::sort(sorted_decode.begin(), sorted_decode.end());
+            TILUS_FATAL_IF(std::adjacent_find(sorted_decode.begin(),
+                                              sorted_decode.end()) !=
+                               sorted_decode.end(),
                            scheduler_.name()
                                << " planned duplicate decode ids");
             step_ms = decodeCostMs(batch);
@@ -579,6 +581,18 @@ Simulator::run(const Trace &trace)
     TILUS_CHECK_MSG(delayed.empty(), "retry backlog leaked "
                                          << delayed.size()
                                          << " delayed requests");
+
+    // The registry takes each event count once per run: a lookup by name
+    // builds a string, and no step may allocate. A count that stays 0
+    // registers no counter.
+    obs::Registry &registry = obs::Registry::instance();
+    if (report.preemptions > 0)
+        registry.counter("serving_preemptions_total").add(report.preemptions);
+    if (report.injected_faults > 0)
+        registry.counter("serving_step_faults_total")
+            .add(report.injected_faults);
+    if (report.failed > 0)
+        registry.counter("serving_failed_total").add(report.failed);
 
     // Every aggregate was accumulated incrementally; derive the report.
     tracker.finalize(report, busy_end_ms);

@@ -73,7 +73,8 @@ struct SimOptions
 
 /** Derive scheduler limits from an engine's construction-time
     reservation; chunk size stays at the SchedulerLimits default.
-    KV accounting is reservation mode (kv_page_tokens = 0). */
+    KV accounting is reservation mode (kv_page_tokens = 0), which
+    requires a policy that is not paged-aware (FcfsScheduler). */
 SchedulerLimits limitsFrom(const llm::StepCostModel &costs);
 
 /** Same limits with paged KV accounting: the engine's reservation is
@@ -88,6 +89,8 @@ SchedulerLimits pagedLimitsFrom(const llm::StepCostModel &costs,
 class Simulator
 {
   public:
+    /** Throws FatalError on invalid limits, and when the policy's
+        pagedAware() does not match the limits' KV mode. */
     Simulator(llm::StepCostModel &costs, Scheduler &scheduler,
               SimOptions options);
 

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "cache/serialize.h"
 #include "compiler/compiler.h"
@@ -108,8 +109,9 @@ TEST(Fuzz, GeneratorIsDeterministic)
  * The acceptance self-test: plant a known engine bug (an add/sub flip
  * in the O2 kernel, applied after serialization so the round-trip legs
  * stay clean) and require (a) the harness reports the divergence on an
- * O2 leg and (b) the minimizer reduces some repro to <= 10 leaf
- * instructions.
+ * O2 leg, (b) the minimizer reduces some repro to <= 10 leaf
+ * instructions and (c) each printed repro plants the bug again and
+ * replays its finding.
  */
 TEST(Fuzz, PlantedBugIsFoundAndMinimized)
 {
@@ -128,9 +130,21 @@ TEST(Fuzz, PlantedBugIsFoundAndMinimized)
         ir::verify(f.reduced); // reduced repro must stay a valid program
         if (f.minimize_tests > 0)
             small_repro |= f.reduced_instructions <= 10;
+        // Without --plant-bug the repro's program runs clean.
+        std::ostringstream repro;
+        repro << "./build/fuzz_smoke --seed 0x" << std::hex << f.seed
+              << " --budget 1 --plant-bug";
+        EXPECT_EQ(f.repro, repro.str());
     }
     EXPECT_TRUE(small_repro)
         << "no minimized finding got down to <= 10 instructions";
+
+    // What the first repro runs: its seed, one program, the bug planted.
+    fuzz::FuzzConfig replay = config;
+    replay.seed = report.findings.front().seed;
+    replay.budget = 1;
+    replay.minimize = false;
+    EXPECT_EQ(fuzz::runFuzz(replay).divergences, 1);
 }
 
 TEST(Fuzz, MinimizerShrinksUnderTrivialPredicate)

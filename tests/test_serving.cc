@@ -12,13 +12,17 @@
  * preemption (never OOM), recompute-on-resume TTFT/TPOT accounting,
  * occupancy gains over whole-request reservation, the SLO policy's
  * goodput edge, and the golden ServingReport JSON schema that
- * BENCH_serving.json consumers rely on. The last section pins fixed
- * seeded runs of every policy to recorded digests.
+ * BENCH_serving.json consumers rely on. The pinned section holds fixed
+ * seeded runs of every policy to recorded digests, and the last one
+ * counts the heap allocations of a run's steps.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <utility>
 
@@ -27,6 +31,92 @@
 #include "support/fault.h"
 #include "support/json.h"
 #include "support/percentile.h"
+
+namespace {
+
+/** Every global operator new in this binary, counted (the replacements
+    below); tests read the difference across a call. */
+std::atomic<int64_t> g_heap_allocations{0};
+
+void *
+countedMalloc(std::size_t size) noexcept
+{
+    g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size == 0 ? 1 : size);
+}
+
+void *
+countedMallocOrThrow(std::size_t size)
+{
+    if (void *p = countedMalloc(size))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+// Every non-aligned form is replaced, so each allocation pairs with a
+// matching free under AddressSanitizer too. Out of line, so no caller
+// inlines a free of its own new-expression.
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    return countedMallocOrThrow(size);
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t size)
+{
+    return countedMallocOrThrow(size);
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedMalloc(size);
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedMalloc(size);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 namespace tilus {
 namespace {
@@ -587,6 +677,21 @@ TEST(PagedSimulator, ReservationPolicyRefusedOnPagedLimits)
     EXPECT_THROW(
         Simulator(costs, scheduler, pagedExactOptions(costs, 16)),
         FatalError);
+}
+
+TEST(PagedSimulator, PagedPolicyRefusedOnReservationLimits)
+{
+    // The other direction: a paged policy admits against prefill
+    // targets and, under SLO bypass, out of queue order, which
+    // reservation mode audits as a policy bug. On one slot with a
+    // best-effort 400-token request queued ahead of a 100 ms-SLO one,
+    // slo-paged used to throw mid-run at its first bypass; the pairing
+    // must fail at construction instead.
+    FakeCost costs(4096, 1);
+    SloScheduler slo;
+    EXPECT_THROW(Simulator(costs, slo, exactOptions(costs)), FatalError);
+    PagedFcfsScheduler fcfs;
+    EXPECT_THROW(Simulator(costs, fcfs, exactOptions(costs)), FatalError);
 }
 
 TEST(PagedSimulator, ExhaustionPreemptsInsteadOfOom)
@@ -1355,6 +1460,46 @@ TEST(Pinned, SeededRunsKeepTheirReports)
         ASSERT_GT(report.retries, 0);
         EXPECT_EQ(runDigest(report), "bb5edcbd0b8a23cbffdd14eba1400a91")
             << "fcfs-paged, step faults";
+    }
+}
+
+// ------------------------------------------------------------ allocation
+//
+// A run allocates while it sets up (request states, arrival order,
+// report), when a finish feeds the latency sketches and when the queue
+// grows by a block; a step itself allocates nothing in steady state.
+// One allocation per four steps leaves room for the former and none
+// for a list built per step.
+
+TEST(Allocation, PagedStepsAllocateNothingInSteadyState)
+{
+    FakeCost costs(4096, 16);
+    TraceOptions options;
+    options.num_requests = 2000;
+    options.rate_rps = 60.0;
+    options.prompt_min = 32;
+    options.prompt_max = 512;
+    options.output_min = 16;
+    options.output_max = 128;
+    options.slo_ms = 500.0;
+    options.seed = 9;
+    Trace trace = serving::poissonTrace(options);
+
+    PagedFcfsScheduler fcfs;
+    SloScheduler slo;
+    for (serving::Scheduler *scheduler :
+         {static_cast<serving::Scheduler *>(&fcfs),
+          static_cast<serving::Scheduler *>(&slo)}) {
+        Simulator sim(costs, *scheduler, pagedExactOptions(costs, 16));
+        const int64_t before = g_heap_allocations.load();
+        ServingReport report = sim.run(trace);
+        const int64_t allocations = g_heap_allocations.load() - before;
+        const int64_t steps = report.prefill_steps + report.decode_steps;
+        ASSERT_EQ(report.completed, options.num_requests);
+        ASSERT_GT(report.preemptions, 0) << scheduler->name();
+        EXPECT_LT(allocations * 4, steps)
+            << scheduler->name() << ": " << allocations
+            << " allocations in " << steps << " steps";
     }
 }
 
