@@ -1487,9 +1487,8 @@ TEST(Allocation, PagedStepsAllocateNothingInSteadyState)
 
     PagedFcfsScheduler fcfs;
     SloScheduler slo;
-    for (serving::Scheduler *scheduler :
-         {static_cast<serving::Scheduler *>(&fcfs),
-          static_cast<serving::Scheduler *>(&slo)}) {
+    serving::Scheduler *const policies[] = {&fcfs, &slo};
+    for (serving::Scheduler *scheduler : policies) {
         Simulator sim(costs, *scheduler, pagedExactOptions(costs, 16));
         const int64_t before = g_heap_allocations.load();
         ServingReport report = sim.run(trace);
