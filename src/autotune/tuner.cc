@@ -76,20 +76,21 @@ estimateConfig(runtime::Runtime &rt, const kernels::MatmulConfig &config,
         if (p.group_size > 0)
             p.group_size = p.bk;
         kernels::MatmulBundle bundle = kernels::buildMatmul(p);
-        const lir::Kernel &kernel =
-            rt.getOrCompile(bundle.main_program, opts);
-        return sim::traceOneBlock(kernel, ghostEnv(kernel, m));
+        const std::shared_ptr<const lir::Kernel> kernel =
+            rt.loadOrCompile(bundle.main_program, opts);
+        return sim::traceOneBlock(*kernel, ghostEnv(*kernel, m));
     };
     sim::SimStats s1 = probe(1);
     sim::SimStats s2 = probe(2);
 
     kernels::MatmulBundle full = kernels::buildMatmul(config);
-    const lir::Kernel &kernel = rt.getOrCompile(full.main_program, opts);
+    const std::shared_ptr<const lir::Kernel> kernel =
+        rt.loadOrCompile(full.main_program, opts);
     const double full_outers =
         static_cast<double>(config.k / config.bk) / config.stages;
     sim::SimStats stats = extrapolate(s1, s2, full_outers - 1.0);
-    ir::Env env = ghostEnv(kernel, m);
-    return sim::estimateLatency(kernel, stats, env, rt.spec(), traits);
+    ir::Env env = ghostEnv(*kernel, m);
+    return sim::estimateLatency(*kernel, stats, env, rt.spec(), traits);
 }
 
 std::vector<kernels::MatmulConfig>

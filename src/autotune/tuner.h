@@ -49,7 +49,11 @@ struct TuneSpace
 
 /**
  * Estimate one configuration's latency on `rt`'s GPU for token count `m`
- * via probe-trace extrapolation (no full-depth execution).
+ * via probe-trace extrapolation (no full-depth execution). The two
+ * probes and the full-depth instance come from Runtime::loadOrCompile:
+ * each is freed once it is traced or priced, so a sweep holds no
+ * kernel, and a program an earlier sweep priced is read back from the
+ * disk tier (compiled again when the disk tier is off).
  */
 sim::LatencyBreakdown
 estimateConfig(runtime::Runtime &rt, const kernels::MatmulConfig &config,
@@ -111,10 +115,9 @@ TuneResult sweepCached(runtime::Runtime &rt, const SweepRequest &req,
 
 /**
  * Pick the best configuration for matmul(m x k, k x n) with the given
- * weight type. Results are deterministic; compiled kernels and tuning
- * outcomes are cached inside the Runtime across calls, and whole-sweep
- * outcomes persist across processes via the autotune database
- * (a thin wrapper over sweepCached).
+ * weight type. Results are deterministic; priced kernels persist in the
+ * disk tier and whole-sweep outcomes in the autotune database, across
+ * calls and processes (a thin wrapper over sweepCached).
  */
 TuneResult tune(runtime::Runtime &rt, DataType wdtype, int64_t n,
                 int64_t k, int64_t m,

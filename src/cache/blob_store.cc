@@ -1,8 +1,10 @@
 #include "cache/blob_store.h"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fcntl.h>
 #include <filesystem>
 #include <fstream>
@@ -45,12 +47,91 @@ defaultCacheDir()
     return "/tmp/tilus-cache";
 }
 
+namespace {
+
+// XXH64's primes; payloadHash is XXH64 with seed 0.
+constexpr uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+constexpr uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr uint64_t kPrime3 = 0x165667b19e3779f9ull;
+constexpr uint64_t kPrime4 = 0x85ebca77c2b2ae63ull;
+constexpr uint64_t kPrime5 = 0x27d4eb2f165667c5ull;
+
+uint64_t
+rotl(uint64_t v, int s)
+{
+    return (v << s) | (v >> (64 - s));
+}
+
+/** The @p Word at @p p, little-endian: one load (and a byte swap on
+    big-endian hosts). */
+template <typename Word>
+uint64_t
+readLE(const unsigned char *p)
+{
+    Word v;
+    std::memcpy(&v, p, sizeof(v));
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    if constexpr (sizeof(v) == 8)
+        v = __builtin_bswap64(v);
+    else
+        v = __builtin_bswap32(v);
+#endif
+    return v;
+}
+
+/** Fold one 8-byte word into a lane. */
+uint64_t
+lane(uint64_t acc, uint64_t word)
+{
+    return rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+/** Fold a finished lane into the hash. */
+uint64_t
+mergeLane(uint64_t h, uint64_t acc)
+{
+    return (h ^ lane(0, acc)) * kPrime1 + kPrime4;
+}
+
+} // namespace
+
 uint64_t
 payloadHash(const std::string &payload)
 {
-    Hasher h;
-    h.bytes(payload.data(), payload.size());
-    return h.digest().lo;
+    const unsigned char *p =
+        reinterpret_cast<const unsigned char *>(payload.data());
+    size_t left = payload.size();
+    uint64_t h;
+    if (left >= 32) {
+        // Four independent lanes over 32-byte stripes.
+        uint64_t v1 = kPrime1 + kPrime2, v2 = kPrime2, v3 = 0,
+                 v4 = 0 - kPrime1;
+        for (; left >= 32; p += 32, left -= 32) {
+            v1 = lane(v1, readLE<uint64_t>(p));
+            v2 = lane(v2, readLE<uint64_t>(p + 8));
+            v3 = lane(v3, readLE<uint64_t>(p + 16));
+            v4 = lane(v4, readLE<uint64_t>(p + 24));
+        }
+        h = rotl(v1, 1) + rotl(v2, 7) + rotl(v3, 12) + rotl(v4, 18);
+        h = mergeLane(mergeLane(mergeLane(mergeLane(h, v1), v2), v3), v4);
+    } else {
+        h = kPrime5;
+    }
+    h += payload.size();
+    for (; left >= 8; p += 8, left -= 8)
+        h = rotl(h ^ lane(0, readLE<uint64_t>(p)), 27) * kPrime1 + kPrime4;
+    if (left >= 4) {
+        h = rotl(h ^ readLE<uint32_t>(p) * kPrime1, 23) * kPrime2 + kPrime3;
+        p += 4;
+        left -= 4;
+    }
+    for (; left > 0; ++p, --left)
+        h = rotl(h ^ *p * kPrime5, 11) * kPrime1;
+    h ^= h >> 33;
+    h *= kPrime2;
+    h ^= h >> 29;
+    h *= kPrime3;
+    return h ^ (h >> 32);
 }
 
 BlobRead
@@ -89,7 +170,7 @@ readBlobFile(const std::string &path, uint32_t magic, uint32_t version,
         return corrupt("truncated payload");
     std::string body = blob.substr(kHeaderBytes);
     if (payloadHash(body) != header.u64())
-        return corrupt("payload hash mismatch");
+        return corrupt("payload checksum mismatch");
     *payload = std::move(body);
     return BlobRead::kHit;
 }
@@ -130,7 +211,7 @@ writeBlobOnce(const std::string &tmp, const std::string &path,
     if (injected)
         ok = false;
     // fsync before rename: without it a power cut after the rename can
-    // surface a zero-length or torn entry that only the content hash
+    // surface a zero-length or torn entry that only the payload checksum
     // catches; with it the rename only ever publishes durable bytes.
     if (ok && ::fsync(fd) != 0)
         ok = false;
@@ -168,8 +249,13 @@ writeBlobAtomic(const std::string &path, uint32_t magic,
     putU64(blob, payloadHash(payload));
     blob += payload;
 
+    // One temp file per write: the pid keeps processes apart and the
+    // counter keeps this process's threads apart, so racing writers of
+    // one key never truncate each other's half-written file.
+    static std::atomic<uint64_t> writes{0};
     const std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+        path + ".tmp." + std::to_string(static_cast<long>(::getpid())) +
+        "." + std::to_string(writes.fetch_add(1, std::memory_order_relaxed));
 
     // Transient failures (injected or real) get a bounded retry with
     // exponential backoff; persistent ones surface as false and the

@@ -2,7 +2,7 @@
  * @file
  * Shared plumbing of the on-disk stores (kernel_cache.h, tune_db.h):
  * environment configuration, the {magic, version, payload size, payload
- * hash} blob header, verify-before-trust reads, atomic
+ * checksum} blob header, verify-before-trust reads, atomic
  * temp-file-plus-rename writes, and the BlobStore front end both stores
  * are thin typed wrappers over. Both tiers must interpret TILUS_CACHE /
  * TILUS_CACHE_DIR identically and reject damage the same way — that
@@ -26,7 +26,14 @@ bool cacheDisabledByEnv();
 /** TILUS_CACHE_DIR, or ~/.cache/tilus, or /tmp/tilus-cache. */
 std::string defaultCacheDir();
 
-/** Content hash guarding blob payloads against corruption. */
+/**
+ * The checksum in a blob header, guarding the payload against
+ * corruption: XXH64 with seed 0, eight bytes per step in four lanes,
+ * so verifying a 128 KiB kernel costs microseconds. It is not a
+ * fingerprint (keys come from Hasher, fingerprint.h). Blobs with an
+ * older checksum carry other magics and are rejected before any
+ * hashing.
+ */
 uint64_t payloadHash(const std::string &payload);
 
 /** Outcome of readBlobFile. */
@@ -39,23 +46,27 @@ enum class BlobRead
 
 /**
  * Read @p path and verify magic, version, payload size, and payload
- * hash; on kHit fill @p payload. Never throws: truncation, bit flips,
- * and hostile bytes come back as kCorrupt with a reason in @p why.
+ * checksum, in that order; on kHit fill @p payload. Never throws:
+ * truncation, bit flips, and hostile bytes come back as kCorrupt with a
+ * reason in @p why.
  */
 BlobRead readBlobFile(const std::string &path, uint32_t magic,
                       uint32_t version, std::string *payload,
                       std::string *why);
 
 /**
- * Write header + payload to a pid-suffixed temp file, fsync it, and
- * rename it into place: readers never observe partial blobs, a torn
- * write can't be published (the rename only follows a successful
- * fsync), and racing writers of one content-addressed path write
- * identical bytes, so last-rename-wins is harmless. Transient failures
- * get a bounded exponential-backoff retry; every failed attempt —
- * including an injected one — unlinks its temp file, so no orphans
- * accumulate. Returns false when the retry budget is exhausted
- * (best-effort callers just skip the store).
+ * Write header + payload to a temp file of its own (named by the pid
+ * and a process-wide write counter, so no other thread or process
+ * writes it), fsync it, and rename it into place: readers never
+ * observe partial blobs, a torn write can't be published (the rename
+ * only follows a successful fsync), and racing writers of one
+ * content-addressed path — threads of one process included — write
+ * blobs of one content (one program's kernel, one sweep's record), so
+ * last-rename-wins is harmless. Transient failures get a bounded
+ * exponential-backoff retry; every failed attempt — including an
+ * injected one — unlinks its temp file, so no orphans accumulate.
+ * Returns false when the retry budget is exhausted (best-effort
+ * callers just skip the store).
  *
  * Fault sites: "cache.disk.read" (read I/O error), "cache.disk.corrupt"
  * (one-bit payload flip), "cache.disk.write" (torn write),

@@ -8,7 +8,7 @@ namespace cache {
 namespace {
 
 const StoreKind kKernelStore = {
-    "kernel cache", "kernels", ".lirk", 0x544c4b43 /* "TLKC" */,
+    "kernel cache", "kernels", ".lirk", 0x544c4b58 /* "TLKX" */,
     "kernel-cache-load", "fingerprint", "kernel_cache_disk_", "hit", "miss",
     "kernel_cache_store_total",
 };

@@ -3,9 +3,11 @@
  * The on-disk tier of the two-tier kernel cache.
  *
  * The in-memory tier lives in runtime::Runtime (fingerprint-keyed map of
- * compiled kernels; sim::run decodes a kernel for the micro-op engine on
- * each functional launch); this class owns the persistent artifact store
- * that survives the process:
+ * the kernels getOrCompile keeps for launches; sim::run decodes a kernel
+ * for the micro-op engine on each functional launch, and the kernels a
+ * sweep prices are never kept there); this class owns the persistent
+ * artifact store that survives the process, which is also where a
+ * priced kernel is reused from:
  *
  *     $TILUS_CACHE_DIR/kernels/<fingerprint>.lirk
  *
@@ -17,10 +19,10 @@
  *
  * Robustness contract: a corrupt, truncated, or version-mismatched entry
  * — and any I/O failure — degrades to a cache miss, never to a crash or
- * a wrong kernel. Writes go to a process-unique temporary file and are
- * renamed into place, so concurrent processes never observe a partial
- * artifact. Every payload carries a header with magic, format version,
- * size, and content hash; load() verifies all four before
+ * a wrong kernel. Each write goes to a temporary file of its own and is
+ * renamed into place, so concurrent threads and processes never observe
+ * a partial artifact. Every payload carries a header with magic, format
+ * version, size, and checksum; load() verifies all four before
  * deserializing. The store front end (paths, counters, CacheStats,
  * rejection) is the shared BlobStore (blob_store.h).
  */

@@ -8,7 +8,7 @@ namespace cache {
 namespace {
 
 const StoreKind kTuneStore = {
-    "tune db", "tune", ".tune", 0x544c544e /* "TLTN" */, "tune-db-load",
+    "tune db", "tune", ".tune", 0x544c5458 /* "TLTX" */, "tune-db-load",
     "key", "tune_db_", "warm", "cold", "tune_db_store_total",
 };
 

@@ -18,7 +18,7 @@
  * Corpus files (tests/corpus/, extension .lirk) are serialized O0
  * kernels in the
  * cache blob format (src/cache/blob_store.h) under the corpus magic
- * "TLFZ"; tools/check_fuzz.py validates the headers offline and the
+ * "TLFX"; tools/check_fuzz.py validates the headers offline and the
  * corpus test re-runs every kernel through all six legs.
  */
 #pragma once
@@ -34,8 +34,8 @@
 namespace tilus {
 namespace fuzz {
 
-/** Blob magic of corpus files ("TLFZ"). */
-constexpr uint32_t kCorpusMagic = 0x544c465a;
+/** Blob magic of corpus files ("TLFX"). */
+constexpr uint32_t kCorpusMagic = 0x544c4658;
 
 struct FuzzConfig
 {
@@ -97,7 +97,7 @@ std::string reproCommand(uint64_t seed, bool planted_bug = false);
 /** Next element of the master seed chain (splitmix64). */
 uint64_t nextSeed(uint64_t seed);
 
-/// @name Corpus serialization (cache blob format, magic "TLFZ").
+/// @name Corpus serialization (cache blob format, magic "TLFX").
 /// @{
 
 /** Atomically write @p kernel as a corpus blob. */

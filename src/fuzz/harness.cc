@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "cache/blob_store.h"
+#include "cache/fingerprint.h"
 #include "cache/serialize.h"
 #include "compiler/compiler.h"
 #include "ir/verifier.h"
@@ -133,8 +133,15 @@ runHarness(const ir::Program &program, const HarnessOptions &options)
         const std::string payload2 = cache::serializeKernel(k2);
         lir::Kernel rt0 = cache::deserializeKernel(payload0);
         lir::Kernel rt2 = cache::deserializeKernel(payload2);
-        result.kernel_hash = mix64(cache::payloadHash(payload0)) ^
-                             mix64(cache::payloadHash(payload2) + 1);
+        // An identity digest of both kernels, not a corruption check:
+        // the fingerprint hasher, whose bytes stay fixed.
+        auto digest = [](const std::string &payload) {
+            cache::Hasher h;
+            h.bytes(payload.data(), payload.size());
+            return h.digest().lo;
+        };
+        result.kernel_hash =
+            mix64(digest(payload0)) ^ mix64(digest(payload2) + 1);
         if (cache::serializeKernel(rt0) != payload0 ||
             cache::serializeKernel(rt2) != payload2) {
             result.verdict = Verdict::kDivergence;

@@ -107,6 +107,20 @@ const lir::Kernel &
 Runtime::getOrCompile(const ir::Program &program,
                       const compiler::CompileOptions &options)
 {
+    return *lookup(program, options, /*keep=*/true);
+}
+
+std::shared_ptr<const lir::Kernel>
+Runtime::loadOrCompile(const ir::Program &program,
+                       const compiler::CompileOptions &options)
+{
+    return lookup(program, options, /*keep=*/false);
+}
+
+std::shared_ptr<const lir::Kernel>
+Runtime::lookup(const ir::Program &program,
+                const compiler::CompileOptions &options, bool keep)
+{
     const cache::Fingerprint fp =
         cache::fingerprintProgram(program, options);
     {
@@ -116,17 +130,17 @@ Runtime::getOrCompile(const ir::Program &program,
             obs::Registry::instance()
                 .counter("runtime_memory_hit_total")
                 .add();
-            return *it->second;
+            return it->second;
         }
     }
 
-    obs::Span span("runtime", "get-or-compile");
+    obs::Span span("runtime", keep ? "get-or-compile" : "load-or-compile");
     if (span.live())
         span.arg("program", program.name).arg("fingerprint", fp.hex());
 
     // Materialize outside the lock: compilation (and disk I/O) is the
     // expensive part, and the compile pool runs many of these
-    // concurrently. A lost race on insertion just discards a duplicate.
+    // concurrently.
     std::unique_ptr<lir::Kernel> kernel;
     bool from_disk = false;
     bool degraded = false;
@@ -140,29 +154,23 @@ Runtime::getOrCompile(const ir::Program &program,
                         : degraded ? "compiled-degraded"
                                    : "compiled");
 
-    const lir::Kernel *result;
-    bool persist = false;
+    std::shared_ptr<const lir::Kernel> result = std::move(kernel);
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = cache_.find(fp);
-        if (it != cache_.end())
-            return *it->second; // another thread won the race
-        if (from_disk)
-            ++disk_load_count_;
-        else
-            ++compile_count_;
-        auto [pos, inserted] = cache_.emplace(fp, std::move(kernel));
-        TILUS_CHECK(inserted);
-        result = pos->second.get();
-        // A degraded (O0-fallback) kernel is fingerprinted under the
-        // *requested* options; persisting it would serve the degraded
-        // build to every later healthy process, so it stays in memory
-        // only.
-        persist = !from_disk && !degraded && disk_cache_ != nullptr;
+        if (keep) {
+            auto [pos, inserted] = cache_.emplace(fp, result);
+            if (!inserted)
+                return pos->second; // another thread won the race
+        }
+        ++(from_disk ? disk_load_count_ : compile_count_);
     }
-    if (persist) // I/O off the lock; cached kernels never move
+    // A degraded (O0-fallback) kernel is fingerprinted under the
+    // *requested* options; persisting it would serve the degraded build
+    // to every later healthy process, so it is never stored. I/O runs
+    // off the lock.
+    if (!from_disk && !degraded && disk_cache_)
         disk_cache_->store(fp, *result);
-    return *result;
+    return result;
 }
 
 ir::Env

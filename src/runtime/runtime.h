@@ -77,28 +77,46 @@ class Runtime
     PackedBuffer download(const DeviceTensor &tensor);
 
     /**
-     * Compile (or fetch from cache) a program. The key is the
-     * content-addressed fingerprint of (program, options, cache format
-     * version) — see cache::fingerprintProgram — so equivalent rebuilds
-     * of one template configuration share a kernel no matter which
-     * process-global ids their IR carries, and O0/O2 twins of the same
-     * program never alias. Lookup order: in-memory tier, then the
-     * on-disk artifact store (skipped when TILUS_CACHE=off or
-     * setDiskCache(nullptr)), then compiler::compile — freshly compiled
-     * kernels are persisted to disk.
+     * Compile (or fetch from cache) a program and keep it for launches.
+     * The key is the content-addressed fingerprint of (program, options,
+     * cache format version) — see cache::fingerprintProgram — so
+     * equivalent rebuilds of one template configuration share a kernel
+     * no matter which process-global ids their IR carries, and O0/O2
+     * twins of the same program never alias. Lookup order: in-memory
+     * tier, then the on-disk artifact store (skipped when
+     * TILUS_CACHE=off or setDiskCache(nullptr)), then compiler::compile
+     * — freshly compiled kernels are persisted to disk. The kernel then
+     * stays in the memory tier for the Runtime's life.
      *
-     * Thread-safe: cold autotune sweeps call this concurrently from the
-     * compile pool (cache/compile_pool.h). Racing compilations of
-     * the same fingerprint are deduplicated at insertion.
+     * Thread-safe: racing lookups of one fingerprint each materialize
+     * a kernel, and the first to insert wins; the losers' copies are
+     * discarded uncounted and unpersisted, so this lookup is
+     * deduplicated at insertion.
      */
     const lir::Kernel &getOrCompile(const ir::Program &program,
                                     const compiler::CompileOptions &options);
 
-    /** Number of real compilations performed (cache effectiveness). */
+    /**
+     * The same lookup for a kernel the caller prices and drops (the
+     * autotuner's probes and full-depth instances): it borrows the
+     * kernel the memory tier already holds, or else loads it from the
+     * disk tier, or else compiles it with retry and persists it — but
+     * never inserts it into the memory tier, so the kernel is freed
+     * with its last reference. A later lookup of the same program reads
+     * it back from disk, or compiles it again when the disk tier is
+     * off. Thread-safe; racing lookups of one fingerprint each
+     * materialize, count and persist their own copy.
+     */
+    std::shared_ptr<const lir::Kernel>
+    loadOrCompile(const ir::Program &program,
+                  const compiler::CompileOptions &options);
+
+    /** Number of real compilations performed (cache effectiveness);
+        getOrCompile's discarded race losers are not counted. */
     int compileCount() const { return compile_count_; }
 
     /** Number of kernels materialized from the disk tier instead of
-        being compiled. */
+        being compiled (counted as compileCount is). */
     int diskLoadCount() const { return disk_load_count_; }
 
     /** Override the disk tier (tests use temp-dir caches); nullptr
@@ -113,17 +131,23 @@ class Runtime
                          const std::vector<KernelArg> &args);
 
   private:
+    /** The one lookup behind getOrCompile (@p keep) and loadOrCompile. */
+    std::shared_ptr<const lir::Kernel>
+    lookup(const ir::Program &program,
+           const compiler::CompileOptions &options, bool keep);
+
     static ir::Env toEnv(const lir::Kernel &kernel,
                          const std::vector<KernelArg> &args);
     void checkArch(const lir::Kernel &kernel) const;
 
     sim::GpuSpec spec_;
     sim::Device device_;
-    /// Guards cache_; compilation runs outside it. The simulated device
-    /// is NOT thread-safe — only compilation and ghost tracing may run
-    /// concurrently, launches stay single-threaded.
+    /// Guards cache_ and the counts; compilation runs outside it. The
+    /// simulated device is NOT thread-safe — only compilation and ghost
+    /// tracing may run concurrently, launches stay single-threaded.
     std::mutex mutex_;
-    std::map<cache::Fingerprint, std::unique_ptr<lir::Kernel>> cache_;
+    /// The memory tier: getOrCompile's kernels, never evicted.
+    std::map<cache::Fingerprint, std::shared_ptr<const lir::Kernel>> cache_;
     cache::KernelCache *disk_cache_ = &cache::KernelCache::instance();
     int compile_count_ = 0;
     int disk_load_count_ = 0;

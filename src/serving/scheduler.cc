@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <tuple>
 
 #include "support/error.h"
 
@@ -223,6 +224,14 @@ FcfsScheduler::plan(const SchedulerView &view, const SchedulerLimits &limits,
                   lists_, out);
 }
 
+bool
+SloScheduler::Urgency::operator<(const Urgency &other) const
+{
+    return std::tie(deadline_class, deadline_ms, arrival_ms, id) <
+           std::tie(other.deadline_class, other.deadline_ms,
+                    other.arrival_ms, other.id);
+}
+
 void
 SloScheduler::plan(const SchedulerView &view, const SchedulerLimits &limits,
                    BatchPlan &out)
@@ -233,32 +242,32 @@ SloScheduler::plan(const SchedulerView &view, const SchedulerLimits &limits,
 
     // Most urgent first: still-winnable deadlines (earliest first), then
     // best-effort, then already-missed; arrival order breaks ties.
-    auto more_urgent = [&](int64_t a, int64_t b) {
-        const RequestState &sa = states[a];
-        const RequestState &sb = states[b];
-        const int ca = deadlineClass(sa, view.now_ms);
-        const int cb = deadlineClass(sb, view.now_ms);
-        if (ca != cb)
-            return ca < cb;
-        if (deadlineOf(sa) != deadlineOf(sb))
-            return deadlineOf(sa) < deadlineOf(sb);
-        if (sa.request.arrival_ms != sb.request.arrival_ms)
-            return sa.request.arrival_ms < sb.request.arrival_ms;
-        return a < b;
+    auto urgency = [&](int64_t id) {
+        const RequestState &state = states[id];
+        return Urgency{deadlineClass(state, view.now_ms), deadlineOf(state),
+                       state.request.arrival_ms, id};
     };
 
     // Goodput-maximizing admission: earliest-deadline-first with bypass.
     // A request that does not fit is skipped, not waited for — a
-    // tight-deadline arrival overtakes queued work it can outrun.
-    by_urgency_.assign(view.queued->begin(), view.queued->end());
-    std::sort(by_urgency_.begin(), by_urgency_.end(), more_urgent);
+    // tight-deadline arrival overtakes queued work it can outrun. The
+    // queue is sorted by keys computed once per request per step.
+    queue_keys_.clear();
+    for (int64_t id : *view.queued)
+        queue_keys_.push_back(urgency(id));
+    std::sort(queue_keys_.begin(), queue_keys_.end());
+    by_urgency_.clear();
+    for (const Urgency &key : queue_keys_)
+        by_urgency_.push_back(key.id);
     admit(view, limits, by_urgency_, /*bypass=*/true, out);
     // The chunk goes to the most urgent prefillable request, and victims
     // go in reverse urgency — missed deadlines and best-effort work pay
     // for pages before any still-winnable request does — so each
     // preemption costs the least goodput.
-    planPagedStep(view, limits, more_urgent, last_step_was_prefill_,
-                  lists_, out);
+    planPagedStep(
+        view, limits,
+        [&](int64_t a, int64_t b) { return urgency(a) < urgency(b); },
+        last_step_was_prefill_, lists_, out);
 }
 
 } // namespace serving

@@ -283,8 +283,22 @@ class SloScheduler : public Scheduler
     void reset() override { last_step_was_prefill_ = false; }
 
   private:
+    /** One request's place in the urgency order at a step's time, in
+        the order's own priority: deadline class, deadline, arrival, id
+        (a total order). */
+    struct Urgency
+    {
+        int deadline_class;
+        double deadline_ms;
+        double arrival_ms;
+        int64_t id;
+
+        bool operator<(const Urgency &other) const;
+    };
+
     bool last_step_was_prefill_ = false;
     PlannerLists lists_;
+    std::vector<Urgency> queue_keys_; ///< one key per queued request
     std::vector<int64_t> by_urgency_; ///< the queue, most urgent first
 };
 

@@ -8,8 +8,9 @@
  * whole-DRAM oracle equivalence of deserialized kernels, the on-disk
  * tier's corruption/version robustness (always a miss, never a crash),
  * Runtime integration across simulated process restarts, tune-database
- * determinism, cold sweeps that trace without decoding, and
- * concurrent-tuner thread safety.
+ * determinism, cold sweeps that trace without decoding and keep no
+ * kernel, the payload checksum, and thread safety of concurrent tuners
+ * and concurrent writers of one blob.
  */
 #include <gtest/gtest.h>
 
@@ -430,10 +431,49 @@ TEST(WireFormat, TuneRecordBlobHasPinnedDigest)
     db.store(key, pinnedTuneRecord());
     const std::string blob = readFile(db.entryPath(key));
     EXPECT_EQ(blob.size(), 568u);
-    EXPECT_EQ(digestOf(blob), "941972e039ee0889782a3a24336f6422");
+    EXPECT_EQ(digestOf(blob), "ea85c658f37717a173b8da19f8e7ffdc");
+    // The payload alone, behind the 24-byte header.
+    EXPECT_EQ(digestOf(blob.substr(24)), "d1c577b85e2e786f7245d086959483f5");
     std::optional<cache::TuneRecord> loaded = db.load(key);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->candidates.size(), 2u);
+}
+
+TEST(WireFormat, PayloadChecksumHasPinnedVector)
+{
+    // XXH64 with seed 0: the reference implementation's published
+    // vectors, and the pinned vector tools/check_fuzz.py checks too.
+    EXPECT_EQ(cache::payloadHash(""), 0xef46db3751d8e999ull);
+    EXPECT_EQ(cache::payloadHash("abc"), 0x44bc2cf5ad770999ull);
+    EXPECT_EQ(cache::payloadHash("Nobody inspects the spammish repetition"),
+              0xfbcea83c8a378bf1ull);
+    std::string bytes;
+    for (int i = 0; i < 72; ++i)
+        bytes.push_back(static_cast<char>(i));
+    EXPECT_EQ(cache::payloadHash(bytes), 0xfb0b1f050cb8f00dull);
+}
+
+TEST(WireFormat, PayloadChecksumCatchesBitFlipsAndTruncation)
+{
+    // Lengths 0-72 cover the byte tail, the 4- and 8-byte steps and
+    // two rounds of the four-lane loop: every single-bit flip and a
+    // one-byte truncation must move the checksum.
+    for (size_t len = 0; len <= 72; ++len) {
+        std::string payload;
+        for (size_t i = 0; i < len; ++i)
+            payload.push_back(static_cast<char>(i * 37 + len));
+        const uint64_t sum = cache::payloadHash(payload);
+        for (size_t bit = 0; bit < 8 * len; ++bit) {
+            std::string flipped = payload;
+            flipped[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+            EXPECT_NE(cache::payloadHash(flipped), sum)
+                << "len " << len << " bit " << bit;
+        }
+        if (len > 0) {
+            EXPECT_NE(cache::payloadHash(payload.substr(0, len - 1)), sum)
+                << "len " << len;
+        }
+    }
 }
 
 // --------------------------------------------------------- disk tier
@@ -498,7 +538,7 @@ TEST(KernelCache, TruncatedAndCorruptEntriesDegradeToMiss)
             << blob.substr(0, cut);
         EXPECT_EQ(cache.load(fp), nullptr) << "cut=" << cut;
     }
-    // Flip a payload byte: the content hash must catch it.
+    // Flip a payload byte: the payload checksum must catch it.
     std::string corrupt = blob;
     corrupt[corrupt.size() - 10] ^= 0x40;
     std::ofstream(path, std::ios::binary | std::ios::trunc) << corrupt;
@@ -527,7 +567,7 @@ TEST(KernelCache, DisabledCacheMissesAndSkipsWrites)
 
 // ------------------------------------------- decode-level rejection
 //
-// Blobs whose header, size and payload hash are all valid but whose
+// Blobs whose header, size and payload checksum are all valid but whose
 // payload is malformed: only the decoder can reject them.
 
 /** @p v as 8 little-endian bytes. */
@@ -607,7 +647,7 @@ TEST(KernelCache, MalformedPayloadBehindValidHeaderIsRejected)
 
     // The intact payload still loads.
     ASSERT_TRUE(cache::writeBlobAtomic(
-        path, 0x544c4b43, cache::kCacheFormatVersion, bytes));
+        path, 0x544c4b58 /* "TLKX" */, cache::kCacheFormatVersion, bytes));
     EXPECT_NE(cache.load(fp), nullptr);
 }
 
@@ -757,6 +797,60 @@ TEST(TuneDb, ColdSweepTracesOnTheTreeWalkAndDecodesNothing)
               sim::Counters(sim::traceOneBlock(kernel, env)));
 }
 
+// ------------------------------------------ priced kernels are not kept
+
+TEST(Retention, SweepKeepsNoKernelAndReusesThemFromDisk)
+{
+    // A cold sweep prices every candidate with kernels it does not keep:
+    // looking up one of its probes afterwards reads the disk tier, where
+    // the sweep persisted it, not the memory tier.
+    TempDir dir;
+    cache::KernelCache disk(dir.path);
+    cache::TuneDb db(dir.path);
+    runtime::Runtime rt(sim::l40s());
+    rt.setDiskCache(&disk);
+    const autotune::SweepRequest req = smallSweep(16);
+    const autotune::TuneResult cold = autotune::sweepCached(rt, req, &db);
+    ASSERT_GT(cold.candidates_tried, 0);
+    // Two probes and one full-depth instance per candidate, all distinct.
+    EXPECT_EQ(rt.compileCount(), 3 * cold.candidates_tried);
+    EXPECT_EQ(disk.stats().stores, 3 * cold.candidates_tried);
+
+    MatmulConfig probe = cold.config;
+    probe.k = probe.bk * probe.stages; // one outer iteration
+    const int compiles = rt.compileCount();
+    rt.getOrCompile(kernels::buildMatmul(probe).main_program, req.opts);
+    EXPECT_EQ(rt.compileCount(), compiles);
+    EXPECT_EQ(rt.diskLoadCount(), 1);
+}
+
+TEST(Retention, OverlappingSweepCompilesOnlyProgramsNotYetPriced)
+{
+    // The m = 32 space holds the m = 16 candidates (m is a launch
+    // parameter, not part of the program) plus the bm = 32 ones, so the
+    // second sweep reads the shared programs back from the disk tier and
+    // compiles only the new ones. With no disk tier it compiles them all.
+    for (bool with_disk : {true, false}) {
+        TempDir dir;
+        cache::KernelCache disk(dir.path);
+        cache::TuneDb db(dir.path);
+        runtime::Runtime rt(sim::l40s());
+        rt.setDiskCache(with_disk ? &disk : nullptr);
+        const int first =
+            autotune::sweepCached(rt, smallSweep(16), &db).candidates_tried;
+        const int compiles = rt.compileCount();
+        const int second =
+            autotune::sweepCached(rt, smallSweep(32), &db).candidates_tried;
+        ASSERT_GT(first, 0);
+        ASSERT_GT(second, first);
+        EXPECT_EQ(rt.compileCount() - compiles,
+                  3 * (with_disk ? second - first : second))
+            << "disk " << with_disk;
+        EXPECT_EQ(rt.diskLoadCount(), with_disk ? 3 * first : 0)
+            << "disk " << with_disk;
+    }
+}
+
 TEST(TuneDb, KeyCoversSpaceOptionsAndTraits)
 {
     const sim::GpuSpec spec = sim::l40s();
@@ -846,7 +940,7 @@ TEST(TuneDb, MalformedRecordBehindValidHeaderIsRejected)
         reject(hostile, "candidate count " + std::to_string(count));
     }
 
-    ASSERT_TRUE(cache::writeBlobAtomic(path, 0x544c544e,
+    ASSERT_TRUE(cache::writeBlobAtomic(path, 0x544c5458 /* "TLTX" */,
                                        cache::kTuneDbVersion, good));
     EXPECT_TRUE(db.load(key).has_value());
 }
@@ -999,6 +1093,58 @@ TEST(CacheFaults, RenameFailureCleansUpAndFailsStore)
     cache.store(fp, kernel); // healthy disk: same instance recovers
     EXPECT_EQ(cache.stats().stores, 1);
     EXPECT_NE(cache.load(fp), nullptr);
+}
+
+TEST(CacheFaults, ConcurrentWritersOfOneKeyPublishWholeBlobs)
+{
+    // Four threads store one 128 KiB key 100 times each while a reader
+    // loops over it, as overlapping sweeps store the programs they share:
+    // every write has a temp file of its own, so every store lands, no
+    // read sees a torn blob and no temp file is left behind.
+    TempDir dir;
+    const std::string path = dir.path + "/blob";
+    std::string payload(size_t(128) << 10, '\0');
+    for (size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<char>(i * 131 + (i >> 9));
+    constexpr uint32_t kMagic = 0x7e577e57;
+    constexpr int kWriters = 4;
+    constexpr int kStores = 100;
+    std::atomic<int> stored{0};
+    std::atomic<int> writing{kWriters};
+    std::atomic<int> hits{0};
+    std::atomic<int> corrupt{0};
+    std::thread reader([&] {
+        while (writing.load() > 0) {
+            std::string got, why;
+            switch (cache::readBlobFile(path, kMagic, 1, &got, &why)) {
+              case cache::BlobRead::kHit:
+                ++(got == payload ? hits : corrupt);
+                break;
+              case cache::BlobRead::kCorrupt:
+                ++corrupt;
+                break;
+              case cache::BlobRead::kMissing:
+                break;
+            }
+        }
+    });
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w)
+        writers.emplace_back([&] {
+            for (int i = 0; i < kStores; ++i)
+                stored += cache::writeBlobAtomic(path, kMagic, 1, payload);
+            --writing;
+        });
+    for (std::thread &t : writers)
+        t.join();
+    reader.join();
+    EXPECT_EQ(stored.load(), kWriters * kStores);
+    EXPECT_EQ(corrupt.load(), 0) << hits.load() << " whole reads";
+    std::string got, why;
+    EXPECT_EQ(cache::readBlobFile(path, kMagic, 1, &got, &why),
+              cache::BlobRead::kHit);
+    EXPECT_EQ(got, payload);
+    EXPECT_EQ(countOrphanTempFiles(dir.path), 0);
 }
 
 TEST(CacheFaults, ConcurrentCorruptReadersDegradeToOneRecompile)

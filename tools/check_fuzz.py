@@ -3,15 +3,17 @@
 
 Each *.lirk file is a serialized O0 lir::Kernel in the cache blob
 format (src/cache/blob_store.h): a 24-byte little-endian header
-{magic u32, version u32, payload size u64, payload hash u64} followed
-by the payload. This script re-implements the payload hash (the low
-64 bits of the two-lane Hasher digest, src/cache/fingerprint.h) and
-checks, without building anything:
+{magic u32, version u32, payload size u64, payload checksum u64}
+followed by the payload. This script re-implements the payload checksum
+(XXH64 with seed 0, cache::payloadHash) and checks, without building
+anything:
 
-  * header magic is "TLFZ" (0x544c465a) and version matches
+  * the checksum reproduces its pinned vector (the one
+    WireFormat.PayloadChecksumHasPinnedVector checks in C++);
+  * header magic is "TLFX" (0x544c4658) and version matches
     kCacheFormatVersion;
   * the size field equals the actual payload length (no truncation);
-  * the payload hash matches (no bit rot);
+  * the payload checksum matches (no bit rot);
   * file names follow <bug-class>_<hex seed>.lirk and every generator
     bug class (layout, masking, sync, dtype, control) is represented.
 
@@ -31,35 +33,64 @@ import re
 import struct
 import sys
 
-CORPUS_MAGIC = 0x544C465A  # "TLFZ"
+CORPUS_MAGIC = 0x544C4658  # "TLFX"
 FORMAT_VERSION = 1
-HEADER = struct.Struct("<IIQQ")  # magic, version, payload size, hash
+HEADER = struct.Struct("<IIQQ")  # magic, version, payload size, checksum
 
 BUG_CLASSES = ("layout", "masking", "sync", "dtype", "control")
 NAME_RE = re.compile(r"^(%s)_[0-9a-f]+\.lirk$" % "|".join(BUG_CLASSES))
 
 MASK = (1 << 64) - 1
+P1 = 0x9E3779B185EBCA87
+P2 = 0xC2B2AE3D27D4EB4F
+P3 = 0x165667B19E3779F9
+P4 = 0x85EBCA77C2B2AE63
+P5 = 0x27D4EB2F165667C5
+
+# payload_hash(bytes(range(72))), as pinned in tests/test_cache.cc.
+PINNED_VECTOR = 0xFB0B1F050CB8F00D
+
+
+def rotl(v, s):
+    return ((v << s) | (v >> (64 - s))) & MASK
+
+
+def lane(acc, word):
+    return rotl((acc + word * P2) & MASK, 31) * P1 & MASK
 
 
 def payload_hash(data):
-    """Low 64 bits of cache::Hasher's digest over `data`."""
-    a = 0xCBF29CE484222325
-    b = 0x2545F4914F6CDD1D
-    for byte in data:
-        a = ((a ^ byte) * 0x100000001B3) & MASK
-        b ^= (byte + 0x9E3779B97F4A7C15 + ((b << 6) & MASK) + (b >> 2)) & MASK
-        b = (((b << 23) | (b >> 41)) & MASK) * 0xC4CEB9FE1A85EC53 & MASK
-
-    def mix(v):
-        v ^= v >> 33
-        v = (v * 0xFF51AFD7ED558CCD) & MASK
-        v ^= v >> 33
-        v = (v * 0xC4CEB9FE1A85EC53) & MASK
-        v ^= v >> 33
-        return v
-
-    rotl32 = ((b << 32) | (b >> 32)) & MASK
-    return mix(a ^ rotl32)
+    """XXH64 of `data` with seed 0 (cache::payloadHash)."""
+    n, p = len(data), 0
+    if n >= 32:
+        v = [(P1 + P2) & MASK, P2, 0, (-P1) & MASK]
+        while n - p >= 32:
+            for i in range(4):
+                v[i] = lane(v[i], int.from_bytes(data[p:p + 8], "little"))
+                p += 8
+        h = (rotl(v[0], 1) + rotl(v[1], 7) + rotl(v[2], 12) +
+             rotl(v[3], 18)) & MASK
+        for acc in v:
+            h = ((h ^ lane(0, acc)) * P1 + P4) & MASK
+    else:
+        h = P5
+    h = (h + n) & MASK
+    while n - p >= 8:
+        word = int.from_bytes(data[p:p + 8], "little")
+        h = (rotl(h ^ lane(0, word), 27) * P1 + P4) & MASK
+        p += 8
+    if n - p >= 4:
+        word = int.from_bytes(data[p:p + 4], "little")
+        h = (rotl(h ^ (word * P1 & MASK), 23) * P2 + P3) & MASK
+        p += 4
+    while p < n:
+        h = rotl(h ^ (data[p] * P5 & MASK), 11) * P1 & MASK
+        p += 1
+    h ^= h >> 33
+    h = h * P2 & MASK
+    h ^= h >> 29
+    h = h * P3 & MASK
+    return h ^ (h >> 32)
 
 
 def check_file(path, errors):
@@ -81,7 +112,7 @@ def check_file(path, errors):
         errors.append("%s: size field %d != payload %d"
                       % (name, size, len(payload)))
     if digest != payload_hash(payload):
-        errors.append("%s: payload hash mismatch" % name)
+        errors.append("%s: payload checksum mismatch" % name)
     return name.split("_", 1)[0]
 
 
@@ -93,6 +124,8 @@ def main():
         print("missing corpus directory: %s" % corpus)
         return 1
     errors = []
+    if payload_hash(bytes(range(72))) != PINNED_VECTOR:
+        errors.append("payload checksum misses its pinned vector")
     classes = set()
     count = 0
     for name in sorted(os.listdir(corpus)):
