@@ -175,9 +175,8 @@ main(int argc, char **argv)
                 report.compile_rejects, report.divergences,
                 report.crashes);
     std::printf("fuzz: generator-errors=%d unexpected-valid=%d "
-                "microop-fallbacks=%d checksum=0x%llx\n",
+                "checksum=0x%llx\n",
                 report.generator_errors, report.unexpected_valid,
-                report.microop_fallbacks,
                 static_cast<unsigned long long>(report.checksum));
     for (const fuzz::Finding &f : report.findings) {
         std::printf("finding: %s class=%s leg=%s reduced=%d insts "

@@ -12,9 +12,9 @@
  *
  * The sweeps are u4 and int6 weights with group size 128, each at one
  * SIMT batch (m=1) and one tensor-core batch (m=16), each at O0 and O2.
- * The serializer stores process-global tensor ids, so tensor and global
- * ids are renumbered in declaration order before hashing. Check mode
- * prints every missing, new or changed entry and exits 1 on any.
+ * compiler::compile numbers tensors in declaration order, so the hash
+ * is of the kernel's bytes as compiled. Check mode prints every
+ * missing, new or changed entry and exits 1 on any.
  */
 #include <cstdio>
 #include <cstring>
@@ -34,77 +34,10 @@ using namespace tilus;
 
 namespace {
 
-/** Maps process-global tensor/global ids to declaration order. */
-struct Renumber
-{
-    std::map<int, int> tensors, globals;
-
-    void t(int &id) { id = tensors.count(id) ? tensors[id] : id; }
-    void g(int &id) { id = globals.count(id) ? globals[id] : id; }
-
-    void operator()(lir::LoadGlobalVec &o) { t(o.dst_tensor), g(o.global_id); }
-    void operator()(lir::StoreGlobalVec &o) { t(o.src_tensor), g(o.global_id); }
-    void operator()(lir::LoadGlobalBits &o) { t(o.dst_tensor), g(o.global_id); }
-    void operator()(lir::StoreGlobalBits &o) { t(o.src_tensor), g(o.global_id); }
-    void operator()(lir::LoadSharedVec &o) { t(o.dst_tensor); }
-    void operator()(lir::StoreSharedVec &o) { t(o.src_tensor); }
-    void operator()(lir::CpAsync &o) { g(o.global_id); }
-    void operator()(lir::CpAsyncCommit &) {}
-    void operator()(lir::CpAsyncWait &) {}
-    void operator()(lir::BarSync &) {}
-    void operator()(lir::MmaTile &o) { tile(o); }
-    void operator()(lir::SimtDot &o) { tile(o); }
-    void operator()(lir::EltwiseBinary &o)
-    {
-        t(o.dst_tensor), t(o.a_tensor), t(o.b_tensor);
-    }
-    void operator()(lir::EltwiseScalar &o) { t(o.dst_tensor), t(o.a_tensor); }
-    void operator()(lir::EltwiseUnary &o) { t(o.dst_tensor), t(o.a_tensor); }
-    void operator()(lir::CastTensor &o) { t(o.dst_tensor), t(o.src_tensor); }
-    void operator()(lir::InitTensor &o) { t(o.dst_tensor); }
-    void operator()(lir::PrintTensor &o) { t(o.tensor); }
-    void operator()(lir::ExitOp &) {}
-
-    template <typename Op>
-    void
-    tile(Op &o)
-    {
-        t(o.a_tensor), t(o.b_tensor), t(o.c_tensor), t(o.d_tensor);
-    }
-
-    void
-    body(lir::LBody &nodes)
-    {
-        for (lir::LNode &node : nodes) {
-            if (auto *op = std::get_if<lir::LOp>(&node.node))
-                std::visit(*this, *op);
-            else if (auto *f = std::get_if<lir::LFor>(&node.node))
-                body(*f->body);
-            else if (auto *w = std::get_if<lir::LWhile>(&node.node))
-                body(*w->body);
-            else if (auto *i = std::get_if<lir::LIf>(&node.node)) {
-                body(*i->then_body);
-                if (i->else_body)
-                    body(*i->else_body);
-            }
-        }
-    }
-};
-
-/** Hash of the serialized kernel with ids renumbered. */
+/** Hash of the serialized kernel. */
 std::string
-lirHash(lir::Kernel kernel)
+lirHash(const lir::Kernel &kernel)
 {
-    Renumber r;
-    for (size_t i = 0; i < kernel.tensors.size(); ++i)
-        r.tensors[kernel.tensors[i].id] = static_cast<int>(i);
-    for (size_t i = 0; i < kernel.globals.size(); ++i)
-        r.globals[kernel.globals[i].id] = static_cast<int>(i);
-    for (lir::TensorDecl &t : kernel.tensors)
-        r.t(t.id);
-    for (lir::GlobalDecl &g : kernel.globals)
-        r.g(g.id);
-    r.body(kernel.body);
     cache::Hasher h;
     h.str(cache::serializeKernel(kernel));
     return h.digest().hex();

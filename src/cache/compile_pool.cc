@@ -45,12 +45,6 @@ parallelFor(int64_t n, const std::function<void(int64_t)> &fn,
     if (static_cast<int64_t>(threads) > n)
         threads = static_cast<int>(n);
 
-    // Queue depth: tasks not yet claimed by a worker. Sampled by the
-    // metrics dump; the gauge intentionally ends at 0.
-    obs::Gauge &depth =
-        obs::Registry::instance().gauge("compile_pool_queue_depth");
-    depth.set(static_cast<double>(n));
-
     std::atomic<int64_t> next{0};
     std::atomic<bool> failed{false};
     std::exception_ptr first_error;
@@ -69,7 +63,6 @@ parallelFor(int64_t n, const std::function<void(int64_t)> &fn,
             int64_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= n)
                 return;
-            depth.set(static_cast<double>(n - 1 - i > 0 ? n - 1 - i : 0));
             try {
                 fn(i);
             } catch (...) {
@@ -90,7 +83,6 @@ parallelFor(int64_t n, const std::function<void(int64_t)> &fn,
         pool.emplace_back(worker);
     for (std::thread &t : pool)
         t.join();
-    depth.set(0);
     if (first_error)
         std::rethrow_exception(first_error);
 }

@@ -2,12 +2,14 @@
 
 #include <map>
 #include <optional>
+#include <unordered_map>
 
 #include "compiler/memory_planner.h"
 #include "ir/verifier.h"
 #include "layout/atoms.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "opt/lir_rewrite.h"
 #include "opt/pass_manager.h"
 #include "support/error.h"
 #include "support/math_util.h"
@@ -947,6 +949,30 @@ Lowering::tryLowerSimtDot(const DotInst &inst)
     return true;
 }
 
+/**
+ * Number register tensors by declaration order. Lowering declares them
+ * under their ir::RegTensorNode ids, which a process-global counter
+ * hands out, so without this a kernel's bytes would depend on how many
+ * tensors the process built before its program. Global ids already are
+ * registration indices.
+ */
+void
+renumberTensors(lir::Kernel &kernel)
+{
+    std::unordered_map<int, int> index;
+    index.reserve(kernel.tensors.size());
+    for (size_t i = 0; i < kernel.tensors.size(); ++i) {
+        index.emplace(kernel.tensors[i].id, static_cast<int>(i));
+        kernel.tensors[i].id = static_cast<int>(i);
+    }
+    // Nested bodies are held by shared_ptr to non-const, so every
+    // operation the const traversal visits belongs to this kernel.
+    opt::forEachOp(kernel.body, [&](const lir::LOp &op) {
+        lir::forEachTensorRef(const_cast<lir::LOp &>(op),
+                              [&](int &id, bool) { id = index.at(id); });
+    });
+}
+
 } // namespace
 
 lir::Kernel
@@ -960,6 +986,7 @@ compile(const ir::Program &program, const CompileOptions &options)
     Lowering lowering(program, options);
     lir::Kernel kernel = lowering.run();
     opt::PassManager::standardPipeline(options.opt_level).run(kernel);
+    renumberTensors(kernel);
     return kernel;
 }
 

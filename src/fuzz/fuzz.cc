@@ -106,9 +106,6 @@ runFuzz(const FuzzConfig &config)
         report.checksum =
             mix64(report.checksum ^ mix64(seed) ^ hr.kernel_hash ^
                   (static_cast<uint64_t>(hr.verdict) + 1));
-        if (!hr.microop_decoded && hr.verdict != Verdict::kVerifierReject &&
-            hr.verdict != Verdict::kCompileReject)
-            ++report.microop_fallbacks;
 
         if (gen.expect_invalid) {
             if (hr.verdict == Verdict::kVerifierReject) {
@@ -177,8 +174,8 @@ runFuzz(const FuzzConfig &config)
                 compiler::CompileOptions o0;
                 o0.opt_level = compiler::OptLevel::O0;
                 std::ostringstream path;
-                path << config.corpus_out_dir << "/fuzz_" << std::hex
-                     << seed << ".lirk";
+                path << config.corpus_out_dir << "/" << f.bug_class << "_"
+                     << std::hex << seed << ".lirk";
                 writeCorpusKernel(path.str(),
                                   compiler::compile(f.reduced, o0));
             } catch (const TilusError &) {
@@ -196,8 +193,6 @@ runFuzz(const FuzzConfig &config)
     reg.counter("fuzz_compile_rejects_total").add(report.compile_rejects);
     reg.counter("fuzz_divergences_total").add(report.divergences);
     reg.counter("fuzz_crashes_total").add(report.crashes);
-    reg.counter("fuzz_microop_fallbacks_total")
-        .add(report.microop_fallbacks);
     int64_t steps = 0;
     for (const Finding &f : report.findings)
         steps += f.minimize_steps;

@@ -11,15 +11,16 @@
  *
  * which regenerates exactly the failing program (with `--plant-bug`
  * appended when the harness planted the engine bug). FuzzReport::checksum
- * folds every generated kernel's serialized bytes and verdict, so two
- * runs with the same seed are byte-equal end to end (pinned by
- * tests/test_fuzz.cc).
+ * folds every generated kernel's serialized bytes and verdict; those
+ * bytes are canonical (compiler::compile numbers tensors in declaration
+ * order), so two runs with the same seed are byte-equal end to end,
+ * in one process or two (tests/test_fuzz.cc).
  *
- * Corpus files (tests/corpus/, extension .lirk) are serialized O0
- * kernels in the
- * cache blob format (src/cache/blob_store.h) under the corpus magic
- * "TLFX"; tools/check_fuzz.py validates the headers offline and the
- * corpus test re-runs every kernel through all six legs.
+ * Corpus files (tests/corpus/) are serialized O0 kernels in the cache
+ * blob format (src/cache/blob_store.h) under the corpus magic "TLFX",
+ * named <bug-class>_<hex seed>.lirk both by `fuzz_smoke --seed-corpus`
+ * and by FuzzConfig::corpus_out_dir; the corpus test checks the names
+ * and re-runs every kernel through all six legs.
  */
 #pragma once
 
@@ -73,7 +74,6 @@ struct FuzzReport
     int crashes = 0;
     int generator_errors = 0;  ///< generator emitted an invalid program
     int unexpected_valid = 0;  ///< adversarial program was NOT rejected
-    int microop_fallbacks = 0; ///< runs where a kernel was undecodable
     uint64_t checksum = 0;     ///< reproducibility digest (see file doc)
     std::vector<Finding> findings;
 

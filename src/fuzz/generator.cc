@@ -509,40 +509,11 @@ emitControlPattern(Gen &g)
     }
 }
 
-/**
- * Pins the process-global Var/tensor id counters to 0 while a program
- * is generated, so identical seeds produce byte-identical programs no
- * matter how many were built before (the run checksum depends on it).
- * Restores the high-water mark on exit: ids handed out later must not
- * collide with the generated program's ids (optimizer-introduced
- * variables share one binding space with program variables).
- */
-struct IdScope
-{
-    int saved_var, saved_tensor;
-
-    IdScope()
-        : saved_var(ir::exchangeVarCounter(0)),
-          saved_tensor(lang::exchangeTensorCounter(0))
-    {}
-
-    ~IdScope()
-    {
-        const int used_var = ir::exchangeVarCounter(saved_var);
-        if (used_var > saved_var)
-            ir::exchangeVarCounter(used_var);
-        const int used_tensor = lang::exchangeTensorCounter(saved_tensor);
-        if (used_tensor > saved_tensor)
-            lang::exchangeTensorCounter(used_tensor);
-    }
-};
-
 } // namespace
 
 Generated
 generateProgram(uint64_t seed)
 {
-    IdScope ids;
     Rng pick(seed);
     // A small slice of the budget goes to must-reject programs so the
     // verifier-vs-divergence classification stays exercised.
@@ -660,7 +631,6 @@ adversarialTemplateCount()
 Generated
 generateAdversarial(int index, uint64_t seed)
 {
-    IdScope ids;
     Rng rng(seed ^ 0xadefaced5a1ULL);
     Raw b;
     ir::Var ptr = ir::Var::make("p", tilus::int64());

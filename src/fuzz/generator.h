@@ -30,9 +30,12 @@
  * executes, the verifier has a gap.
  *
  * Determinism contract: generateProgram(seed) is a pure function of the
- * seed (tensor names and variable identities are fresh per call, but
- * structure, shapes, constants, and dtypes are reproducible), so any
- * finding is reproducible from the seed alone.
+ * seed (variable and tensor ids are fresh per call, taken from counters
+ * that only increase; structure, names, shapes, constants, and dtypes
+ * are reproducible), so any finding is reproducible from the seed
+ * alone. Its compiled kernels are byte-identical across calls because
+ * compiler::compile numbers tensors in declaration order and the
+ * serializer interns variables by first use.
  */
 #pragma once
 

@@ -1,7 +1,5 @@
 #include "fuzz/harness.h"
 
-#include <algorithm>
-
 #include "cache/fingerprint.h"
 #include "cache/serialize.h"
 #include "compiler/compiler.h"
@@ -66,7 +64,7 @@ sixLegs(const lir::Kernel &k0, const lir::Kernel &rt0,
         const lir::Kernel &k2, const lir::Kernel &rt2)
 {
     const sim::Engine tw = sim::Engine::kTreeWalk;
-    const sim::Engine mo = sim::Engine::kAuto;
+    const sim::Engine mo = sim::Engine::kMicroOps;
     return {
         {"O0/treewalk", &k0, tw},
         {"O0/microop", &k0, mo},
@@ -155,9 +153,6 @@ runHarness(const ir::Program &program, const HarnessOptions &options)
 
         opt::NwayReport report =
             opt::diffLegs(sixLegs(k0, rt0, k2, rt2), options.oracle);
-        result.microop_decoded = std::none_of(
-            report.stats.begin(), report.stats.end(),
-            [](const sim::SimStats &s) { return s.microop_fallbacks > 0; });
         if (report.crashed) {
             result.verdict = Verdict::kCrash;
             result.failing_leg = report.failing_leg;

@@ -17,10 +17,9 @@
  *
  * The serializer's byte-identity invariant
  * (serializeKernel(deserializeKernel(b)) == b) is asserted as a seventh,
- * memory-free leg. The "microop" legs run under sim::Engine::kAuto, so
- * a kernel the micro-op engine cannot decode falls back to the tree
- * walk (counted from the legs' SimStats, not failed — decodability is
- * optional by design, see src/sim/README.md).
+ * memory-free leg. The "microop" legs run under sim::Engine::kMicroOps,
+ * so a kernel the micro-op engine cannot decode throws, and the program
+ * is a kCrash finding.
  *
  * Verdict taxonomy (the fuzzer's classification contract):
  *   - kVerifierReject: ir::verify threw VerifyError — the program is
@@ -29,7 +28,8 @@
  *   - kCompileReject: the compiler rejected a verified program with
  *     CompileError (e.g. no instruction selection for a layout combo).
  *   - kCrash: any other exception anywhere in the stack — panics,
- *     simulator faults, OOM. Always a finding.
+ *     simulator faults (a micro-op decode failure among them), OOM.
+ *     Always a finding.
  *   - kDivergence: some leg's DRAM differs from leg 0. Always a finding.
  *   - kPass: all legs byte-identical.
  */
@@ -85,13 +85,10 @@ struct HarnessResult
     Verdict verdict = Verdict::kPass;
     std::string failing_leg; ///< leg name, for kDivergence/kCrash
     std::string detail;      ///< mismatch byte / exception text
-    /** splitmix-folded hash of the serialized O0 kernel (0 when the
-        program never compiled); equal across runs iff generation and
-        compilation are byte-reproducible. */
+    /** splitmix-folded hash of the serialized O0 and O2 kernels (0
+        when the program never compiled); equal across runs iff
+        generation and compilation are byte-reproducible. */
     uint64_t kernel_hash = 0;
-    /** True when no leg that ran fell back from the micro-op engine
-        to the tree walk (undecodable kernel). */
-    bool microop_decoded = false;
 };
 
 /** Run the six legs for @p program. Never throws. */

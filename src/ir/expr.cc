@@ -32,12 +32,6 @@ Var::make(std::string name, DataType dtype)
                                          g_next_var_id.fetch_add(1)));
 }
 
-int
-exchangeVarCounter(int value)
-{
-    return g_next_var_id.exchange(value);
-}
-
 Expr
 constInt(int64_t value, DataType dtype)
 {

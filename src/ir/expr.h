@@ -276,16 +276,6 @@ Expr maxExpr(const Expr &a, const Expr &b);
 /// @}
 
 /**
- * Swap the process-global Var id counter, returning its previous value.
- * Deterministic program construction (the fuzzer's generator) brackets
- * itself with this so identical seeds yield identical ids regardless of
- * what was built before; the caller must restore at least the high-water
- * mark afterwards or later ids would collide with the bracketed ones.
- * Not safe while another thread is creating Vars.
- */
-int exchangeVarCounter(int value);
-
-/**
  * Variable bindings used when evaluating expressions.
  *
  * Most ids live in a dense value array with a presence bitmap, so

@@ -15,12 +15,6 @@ std::atomic<int> g_next_tensor_id{0};
 
 } // namespace
 
-int
-exchangeTensorCounter(int value)
-{
-    return g_next_tensor_id.exchange(value);
-}
-
 Script::Script(std::string name, int num_warps)
     : name_(std::move(name)), num_warps_(num_warps)
 {

@@ -158,11 +158,5 @@ class Script
     bool finished_ = false;
 };
 
-/**
- * Swap the process-global tensor id counter, returning its previous
- * value. Same contract and caveats as ir::exchangeVarCounter.
- */
-int exchangeTensorCounter(int value);
-
 } // namespace lang
 } // namespace tilus

@@ -46,7 +46,7 @@ const ir::Var &blockIdxVar(int dim);
  */
 struct TensorDecl
 {
-    int id = -1;           ///< ir::RegTensorNode id
+    int id = -1;           ///< compiler::compile numbers ids 0, 1, ...
     std::string name;
     DataType dtype;
     Layout layout;
@@ -287,6 +287,53 @@ forEachField(Op &o, Fn &&fn)
                        !std::is_same_v<T, BarSync> &&
                        !std::is_same_v<T, ExitOp>)
         static_assert(kUnlistedOp<T>, "list the new op's fields here");
+}
+
+/**
+ * Apply @p fn(id, written) to every register-tensor id field of the
+ * leaf op @p o, by reference: @p written is true for the one tensor
+ * the op writes and false for each tensor it reads. This is the one
+ * list of each op's tensor operands: compiler::compile renumbers ids
+ * through it and the dead-tensor pass derives its use/def sets from
+ * it. @p o is a leaf-op struct or an LOp, const or not. A new leaf op
+ * adds its line here, beside its forEachField line.
+ */
+template <typename Op, typename Fn>
+void
+forEachTensorRef(Op &o, Fn &&fn)
+{
+    using T = std::remove_const_t<Op>;
+    if constexpr (std::is_same_v<T, LOp>)
+        std::visit([&fn](auto &alt) { forEachTensorRef(alt, fn); }, o);
+    else if constexpr (std::is_same_v<T, LoadGlobalVec> ||
+                       std::is_same_v<T, LoadGlobalBits> ||
+                       std::is_same_v<T, LoadSharedVec> ||
+                       std::is_same_v<T, InitTensor>)
+        fn(o.dst_tensor, true);
+    else if constexpr (std::is_same_v<T, StoreGlobalVec> ||
+                       std::is_same_v<T, StoreGlobalBits> ||
+                       std::is_same_v<T, StoreSharedVec>)
+        fn(o.src_tensor, false);
+    else if constexpr (std::is_same_v<T, MmaTile> ||
+                       std::is_same_v<T, SimtDot>)
+        fn(o.a_tensor, false), fn(o.b_tensor, false),
+            fn(o.c_tensor, false), fn(o.d_tensor, true);
+    else if constexpr (std::is_same_v<T, EltwiseBinary>)
+        fn(o.dst_tensor, true), fn(o.a_tensor, false),
+            fn(o.b_tensor, false);
+    else if constexpr (std::is_same_v<T, EltwiseScalar> ||
+                       std::is_same_v<T, EltwiseUnary>)
+        fn(o.dst_tensor, true), fn(o.a_tensor, false);
+    else if constexpr (std::is_same_v<T, CastTensor>)
+        fn(o.dst_tensor, true), fn(o.src_tensor, false);
+    else if constexpr (std::is_same_v<T, PrintTensor>)
+        fn(o.tensor, false);
+    else if constexpr (!std::is_same_v<T, CpAsync> &&
+                       !std::is_same_v<T, CpAsyncCommit> &&
+                       !std::is_same_v<T, CpAsyncWait> &&
+                       !std::is_same_v<T, BarSync> &&
+                       !std::is_same_v<T, ExitOp>)
+        static_assert(kUnlistedOp<T>, "list the new op's tensors here");
 }
 /// @}
 

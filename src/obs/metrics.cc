@@ -29,16 +29,6 @@ Registry::counter(const std::string &name)
     return *slot;
 }
 
-Gauge &
-Registry::gauge(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = gauges_[name];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
 int64_t
 Registry::counterValue(const std::string &name) const
 {
@@ -47,27 +37,14 @@ Registry::counterValue(const std::string &name) const
     return it == counters_.end() ? 0 : it->second->value();
 }
 
-double
-Registry::gaugeValue(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = gauges_.find(name);
-    return it == gauges_.end() ? 0 : it->second->value();
-}
-
 std::string
 Registry::toJson() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    json::Object counters, gauges;
+    json::Object counters;
     for (const auto &[name, c] : counters_)
         counters.add(name, c->value());
-    for (const auto &[name, g] : gauges_)
-        gauges.raw(name, json::exact(g->value()));
-    return json::Object()
-        .raw("counters", counters.str())
-        .raw("gauges", gauges.str())
-        .str();
+    return json::Object().raw("counters", counters.str()).str();
 }
 
 std::string
@@ -78,10 +55,6 @@ Registry::toPrometheus() const
     for (const auto &[name, c] : counters_) {
         oss << "# TYPE tilus_" << name << " counter\n"
             << "tilus_" << name << " " << c->value() << "\n";
-    }
-    for (const auto &[name, g] : gauges_) {
-        oss << "# TYPE tilus_" << name << " gauge\n"
-            << "tilus_" << name << " " << json::exact(g->value()) << "\n";
     }
     return oss.str();
 }
@@ -101,8 +74,6 @@ Registry::zeroAllForTest()
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto &[name, c] : counters_)
         c->zero();
-    for (auto &[name, g] : gauges_)
-        g->zero();
 }
 
 } // namespace obs

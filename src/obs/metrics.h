@@ -1,8 +1,8 @@
 /**
  * @file
- * The process-wide metrics registry: named counters and gauges shared
- * by every subsystem (kernel-cache hit/miss, tune-db warm/cold,
- * compile-pool depth, micro-op fallbacks, serving preemptions, ...).
+ * The process-wide metrics registry: named counters shared by every
+ * subsystem (kernel-cache hit/miss, tune-db warm/cold, compile-pool
+ * tasks, micro-op decodes, serving preemptions, ...).
  *
  * Fast path: a metric handle is an atomic the caller keeps a reference
  * to (registration returns a stable reference; look it up once via a
@@ -51,29 +51,6 @@ class Counter
     std::atomic<int64_t> value_{0};
 };
 
-/** A settable point-in-time value. */
-class Gauge
-{
-  public:
-    void set(double v) { value_.store(v, std::memory_order_relaxed); }
-
-    void
-    add(double d)
-    {
-        double cur = value_.load(std::memory_order_relaxed);
-        while (!value_.compare_exchange_weak(cur, cur + d,
-                                             std::memory_order_relaxed)) {
-        }
-    }
-
-    double value() const { return value_.load(std::memory_order_relaxed); }
-
-    void zero() { value_.store(0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> value_{0};
-};
-
 /** The process-wide metric store (see file header). */
 class Registry
 {
@@ -86,13 +63,9 @@ class Registry
     /** Get-or-create; the returned reference is stable for the
         registry's lifetime. */
     Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
 
     /** Value of a registered counter, 0 when absent (bench summaries). */
     int64_t counterValue(const std::string &name) const;
-
-    /** Value of a registered gauge, 0 when absent. */
-    double gaugeValue(const std::string &name) const;
 
     /** All metrics as one JSON object (names sorted). */
     std::string toJson() const;
@@ -109,7 +82,6 @@ class Registry
   private:
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
 };
 
 } // namespace obs

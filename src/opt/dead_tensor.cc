@@ -61,51 +61,25 @@ class DeadTensorElimination : public Pass
         return kernel.tensor(tensor_id).storage;
     }
 
-    /** (register destination or -1, register sources, is side effect). */
+    /** (register destination or -1, register sources). An op that
+        writes no register tensor (a store, a print) is a side-effecting
+        root; one without tensors at all demands nothing. */
     struct OpUse
     {
         int dst = -1;
         std::vector<int> reads;
-        bool is_root = false;
     };
 
     static OpUse
     opUse(const LOp &op)
     {
         OpUse use;
-        std::visit(
-            [&](const auto &o) {
-                using T = std::decay_t<decltype(o)>;
-                if constexpr (std::is_same_v<T, StoreGlobalVec> ||
-                              std::is_same_v<T, StoreGlobalBits> ||
-                              std::is_same_v<T, StoreSharedVec>) {
-                    use.is_root = true;
-                    use.reads = {o.src_tensor};
-                } else if constexpr (std::is_same_v<T, PrintTensor>) {
-                    use.is_root = true;
-                    use.reads = {o.tensor};
-                } else if constexpr (std::is_same_v<T, MmaTile> ||
-                                     std::is_same_v<T, SimtDot>) {
-                    use.dst = o.d_tensor;
-                    use.reads = {o.a_tensor, o.b_tensor, o.c_tensor};
-                } else if constexpr (std::is_same_v<T, EltwiseBinary>) {
-                    use.dst = o.dst_tensor;
-                    use.reads = {o.a_tensor, o.b_tensor};
-                } else if constexpr (std::is_same_v<T, EltwiseScalar> ||
-                                     std::is_same_v<T, EltwiseUnary>) {
-                    use.dst = o.dst_tensor;
-                    use.reads = {o.a_tensor};
-                } else if constexpr (std::is_same_v<T, CastTensor>) {
-                    use.dst = o.dst_tensor;
-                    use.reads = {o.src_tensor};
-                } else if constexpr (std::is_same_v<T, LoadGlobalVec> ||
-                                     std::is_same_v<T, LoadGlobalBits> ||
-                                     std::is_same_v<T, LoadSharedVec> ||
-                                     std::is_same_v<T, InitTensor>) {
-                    use.dst = o.dst_tensor;
-                }
-            },
-            op);
+        forEachTensorRef(op, [&](int id, bool written) {
+            if (written)
+                use.dst = id;
+            else
+                use.reads.push_back(id);
+        });
         return use;
     }
 
@@ -127,9 +101,8 @@ class DeadTensorElimination : public Pass
             forEachOp(kernel.body, [&](const LOp &op) {
                 OpUse use = opUse(op);
                 const bool demanded =
-                    use.is_root ||
-                    (use.dst >= 0 &&
-                     live.count(storageOf(kernel, use.dst)) > 0);
+                    use.dst < 0 ||
+                    live.count(storageOf(kernel, use.dst)) > 0;
                 if (!demanded)
                     return;
                 for (int tensor : use.reads)
@@ -145,9 +118,8 @@ class DeadTensorElimination : public Pass
     isDeadWrite(const Kernel &kernel, const LOp &op,
                 const std::set<int> &live)
     {
-        OpUse use = opUse(op);
-        return !use.is_root && use.dst >= 0 &&
-               live.count(storageOf(kernel, use.dst)) == 0;
+        const int dst = opUse(op).dst;
+        return dst >= 0 && live.count(storageOf(kernel, dst)) == 0;
     }
 
     static bool
@@ -194,15 +166,9 @@ class DeadTensorElimination : public Pass
     static bool
     pruneDeclarations(Kernel &kernel)
     {
-        // opUse's destination + sources cover every tensor field of
-        // every op, so "referenced" falls out of the same analysis the
-        // liveness fixpoint uses (no second op-type switch to drift).
         std::set<int> referenced;
         forEachOp(kernel.body, [&](const LOp &op) {
-            OpUse use = opUse(op);
-            if (use.dst >= 0)
-                referenced.insert(use.dst);
-            referenced.insert(use.reads.begin(), use.reads.end());
+            forEachTensorRef(op, [&](int id, bool) { referenced.insert(id); });
         });
 
         std::vector<TensorDecl> kept;

@@ -191,8 +191,8 @@ OracleReport
 diffKernels(const lir::Kernel &reference, const lir::Kernel &candidate,
             const OracleConfig &config)
 {
-    return diffRuns(reference, sim::Engine::kAuto, candidate,
-                    sim::Engine::kAuto, config);
+    return diffRuns(reference, sim::Engine::kMicroOps, candidate,
+                    sim::Engine::kMicroOps, config);
 }
 
 OracleReport

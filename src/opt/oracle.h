@@ -68,7 +68,7 @@ struct OracleLeg
 {
     std::string name; ///< e.g. "O2/microop/roundtrip" (for reports)
     const lir::Kernel *kernel = nullptr;
-    sim::Engine engine = sim::Engine::kAuto;
+    sim::Engine engine = sim::Engine::kMicroOps;
 };
 
 /** Outcome of an N-way differential run (diffLegs). */
@@ -138,7 +138,7 @@ OracleReport diffEngines(const lir::Kernel &kernel,
  */
 sim::SimStats runSeeded(const lir::Kernel &kernel,
                         const OracleConfig &config, sim::Device &device,
-                        sim::Engine engine = sim::Engine::kAuto,
+                        sim::Engine engine = sim::Engine::kMicroOps,
                         obs::ProfileCollector *profile = nullptr);
 
 /**

@@ -682,14 +682,13 @@ run(const lir::Kernel &kernel, ir::Env args, Device *device,
     SimStats stats;
 
     // Engine selection: ghost traces walk the tree. Functional runs use
-    // micro-ops unless the caller forces the tree walk, decoding the
+    // micro-ops unless the caller asks for the tree walk, decoding the
     // kernel here, once per run() call, unless the caller passes the
     // program it decoded.
-    Engine engine = options.mode == MemoryMode::kGhost ? Engine::kTreeWalk
-                                                       : options.engine;
     std::unique_ptr<MicroProgram> decoded_here;
     const MicroProgram *program = nullptr;
-    if (engine != Engine::kTreeWalk) {
+    if (options.mode == MemoryMode::kFunctional &&
+        options.engine == Engine::kMicroOps) {
         program = options.micro_program;
         if (program != nullptr) {
             TILUS_CHECK_MSG(program->kernel() == &kernel,
@@ -705,19 +704,9 @@ run(const lir::Kernel &kernel, ir::Env args, Device *device,
                 compileMicroProgram(kernel));
             program = decoded_here.get();
         }
-        if (!program->ok()) {
-            TILUS_FATAL_IF(engine == Engine::kMicroOps,
-                           "micro-op engine forced but kernel '"
-                               << kernel.name << "' is not decodable: "
-                               << program->fallbackReason());
-            stats.microop_fallbacks += 1;
-            stats.microop_fallback_reason = program->fallbackReason();
-            obs::Registry::instance()
-                .counter("sim_microop_fallbacks_total")
-                .add();
-            span.arg("fallback_reason", stats.microop_fallback_reason);
-            program = nullptr;
-        }
+        if (!program->ok())
+            throw SimError("micro-op decode of kernel '" + kernel.name +
+                           "' failed: " + program->failureReason());
     }
     span.arg("engine", program != nullptr ? "microop" : "treewalk");
 

@@ -41,17 +41,14 @@ enum class MemoryMode
 };
 
 /**
- * Which execution engine runs a functional launch. kAuto prefers the
- * pre-decoded micro-op engine (sim/microop.h) and falls back to the
- * tree-walk interpreter when the kernel is not decodable. Ghost traces
- * always walk the tree: a trace runs one block, too few to repay a
- * decode.
+ * Which execution engine runs a functional launch. Ghost traces always
+ * walk the tree: a trace runs one block, too few to repay a decode.
  */
 enum class Engine
 {
-    kAuto,
-    kMicroOps, ///< require the micro-op engine (panics if undecodable)
-    kTreeWalk, ///< force the legacy tree-walk interpreter
+    kMicroOps, ///< the pre-decoded engine (sim/microop.h); a kernel it
+               ///< cannot decode is an error, never a silent fallback
+    kTreeWalk, ///< the tree-walk interpreter (the reference semantics)
 };
 
 /** Options for a kernel execution or trace. */
@@ -63,7 +60,7 @@ struct RunOptions
     /** Enable Print instructions (block 0 only). */
     bool enable_print = true;
     /** Execution engine of a functional run (see Engine). */
-    Engine engine = Engine::kAuto;
+    Engine engine = Engine::kMicroOps;
     /**
      * A program already decoded from `kernel`. When null, as for every
      * caller but perfbench's replay, a functional run decodes the kernel
@@ -88,6 +85,8 @@ struct RunOptions
  * @param device  device memory (may be null in ghost mode)
  * @param options execution options
  * @return accumulated statistics over the executed blocks
+ * @throws SimError when a functional run on Engine::kMicroOps meets a
+ *         kernel the decoder refuses (the message carries its reason)
  */
 SimStats run(const lir::Kernel &kernel, ir::Env args, Device *device,
              const RunOptions &options = {});

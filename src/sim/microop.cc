@@ -74,7 +74,7 @@ castLutFor(const DataType &src, const DataType &dst)
     return lut;
 }
 
-/** Decode aborts are reported as a fallback reason, never thrown. */
+/** Decode aborts are reported as a failure reason, never thrown. */
 struct DecodeFailure
 {
     std::string reason;
@@ -108,9 +108,8 @@ class MicroDecoder
             program_.reason_ = failure.reason;
         } catch (const TilusError &e) {
             // Decode evaluates eagerly (tid tables, InitTensor encode);
-            // anything a lazier engine would not have tripped over is a
-            // graceful fallback, not a crash — compileMicroProgram
-            // promises never to throw.
+            // what it trips over becomes the program's failure reason,
+            // since compileMicroProgram promises never to throw.
             program_.reason_ = e.what();
         }
         return std::move(program_);
@@ -1652,7 +1651,7 @@ runMicroBlock(const MicroProgram &program, const ir::Env &block_env,
 {
     TILUS_CHECK_MSG(program.ok(),
                     "runMicroBlock on an undecodable program: "
-                        << program.fallbackReason());
+                        << program.failureReason());
     TILUS_CHECK_MSG(options.mode != MemoryMode::kGhost,
                     "ghost traces run on the tree walk");
     MicroExecutor executor(program, device, stats, options,

@@ -22,9 +22,10 @@
  *    `logicalIndexOf` calls) are precomputed into flat tables.
  *
  * Decoding is total for everything the compiler emits today; a kernel
- * using an undecodable construct yields a program with a fallback
- * reason, and `sim::run` transparently executes it on the legacy
- * tree-walk path instead (recorded in SimStats::microop_fallbacks).
+ * using an undecodable construct yields a program with a failure
+ * reason, and `sim::run` refuses to execute it on Engine::kMicroOps
+ * (it throws with that reason; there is no silent fallback to the tree
+ * walk).
  *
  * The engine runs functional launches only. Decode pays off over many
  * blocks; a ghost trace runs one, so ghost traces (the autotuner's
@@ -231,15 +232,15 @@ struct DecodedLeaf
 class MicroProgram
 {
   public:
-    /** Decodable? When false, fallbackReason() says why. */
+    /** Decodable? When false, failureReason() says why. */
     bool ok() const { return reason_.empty(); }
 
-    const std::string &fallbackReason() const { return reason_; }
+    const std::string &failureReason() const { return reason_; }
 
     /** The kernel this program was decoded from (borrowed). */
     const lir::Kernel *kernel() const { return kernel_; }
 
-    /// @name Decode statistics (tests and the CI fallback gate).
+    /// @name Decode statistics (tests and bench_interp).
     /// @{
     int numAffineExprs() const { return num_affine_; }
     int numUniformExprs() const { return num_uniform_; }
@@ -291,8 +292,8 @@ class MicroProgram
 
 /**
  * Decode @p kernel into a flat micro-op program. Never throws for
- * undecodable kernels: the returned program carries a fallback reason
- * and `sim::run` uses the tree-walk interpreter instead.
+ * undecodable kernels: the returned program carries a failure reason,
+ * which `sim::run` raises as an error.
  */
 MicroProgram compileMicroProgram(const lir::Kernel &kernel);
 

@@ -101,8 +101,9 @@ struct SimStats : Counters
 
     // Execution-engine diagnostics (not part of the timing model).
     bool used_microops = false;    ///< ran on the pre-decoded engine
-    int64_t microop_fallbacks = 0; ///< runs that fell back to tree-walk
-    std::string microop_fallback_reason; ///< first decode-failure reason
+    /** Always 0: an undecodable kernel is an error, not a fallback.
+        Kept only because perfbench's frozen replay reads it. */
+    int64_t microop_fallbacks = 0;
 
     void
     merge(const SimStats &other)
@@ -116,9 +117,6 @@ struct SimStats : Counters
             std::max(max_groups_in_flight, other.max_groups_in_flight);
         overlapped = overlapped || other.overlapped;
         used_microops = used_microops || other.used_microops;
-        microop_fallbacks += other.microop_fallbacks;
-        if (microop_fallback_reason.empty())
-            microop_fallback_reason = other.microop_fallback_reason;
     }
 };
 

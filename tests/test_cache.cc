@@ -442,7 +442,7 @@ TEST(WireFormat, TuneRecordBlobHasPinnedDigest)
 TEST(WireFormat, PayloadChecksumHasPinnedVector)
 {
     // XXH64 with seed 0: the reference implementation's published
-    // vectors, and the pinned vector tools/check_fuzz.py checks too.
+    // vectors, and one pinned vector over bytes 0-71.
     EXPECT_EQ(cache::payloadHash(""), 0xef46db3751d8e999ull);
     EXPECT_EQ(cache::payloadHash("abc"), 0x44bc2cf5ad770999ull);
     EXPECT_EQ(cache::payloadHash("Nobody inspects the spammish repetition"),
@@ -780,7 +780,7 @@ TEST(TuneDb, ColdSweepTracesOnTheTreeWalkAndDecodesNothing)
     const lir::Kernel &kernel = rt.getOrCompile(
         kernels::buildMatmul(tensorCoreConfig(uint4())).main_program, {});
     const sim::MicroProgram program = sim::compileMicroProgram(kernel);
-    ASSERT_TRUE(program.ok()) << program.fallbackReason();
+    ASSERT_TRUE(program.ok()) << program.failureReason();
     ir::Env env;
     for (const ir::Var &p : kernel.params)
         env.bind(p, p.name() == "m" ? 16 : 0);
@@ -792,7 +792,6 @@ TEST(TuneDb, ColdSweepTracesOnTheTreeWalkAndDecodesNothing)
     options.micro_program = &program;
     const sim::SimStats ghost = sim::run(kernel, env, nullptr, options);
     EXPECT_FALSE(ghost.used_microops);
-    EXPECT_EQ(ghost.microop_fallbacks, 0);
     EXPECT_EQ(sim::Counters(ghost),
               sim::Counters(sim::traceOneBlock(kernel, env)));
 }

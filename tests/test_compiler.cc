@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/serialize.h"
 #include "compiler/compiler.h"
 #include "compiler/fast_cast.h"
 #include "compiler/memory_planner.h"
@@ -253,6 +254,28 @@ TEST(Lowering, SmallBatchUsesSimtDot)
     std::string text = lir::printKernel(kernel);
     EXPECT_NE(text.find("simt.dot"), std::string::npos) << text;
     EXPECT_EQ(text.find("mma."), std::string::npos);
+}
+
+TEST(Lowering, RebuiltProgramCompilesToIdenticalBytes)
+{
+    // Each build of a program hands out fresh tensor and variable ids;
+    // compiler::compile numbers tensors by declaration order, so the
+    // kernel's bytes depend on the program alone.
+    for (const kernels::MatmulConfig &cfg :
+         {testing::tensorCoreConfig(tilus::uint4()),
+          testing::simtConfig(tilus::uint4())}) {
+        const ir::Program first = kernels::buildMatmul(cfg).main_program;
+        const ir::Program second = kernels::buildMatmul(cfg).main_program;
+        for (compiler::OptLevel level :
+             {compiler::OptLevel::O0, compiler::OptLevel::O2}) {
+            compiler::CompileOptions options;
+            options.opt_level = level;
+            EXPECT_EQ(
+                cache::serializeKernel(compiler::compile(first, options)),
+                cache::serializeKernel(compiler::compile(second, options)))
+                << cfg.name() << " O" << static_cast<int>(level);
+        }
+    }
 }
 
 TEST(Lowering, WorkspacePlanning)

@@ -8,8 +8,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "cache/serialize.h"
@@ -18,6 +22,7 @@
 #include "fuzz/generator.h"
 #include "ir/verifier.h"
 #include "obs/metrics.h"
+#include "opt/lir_rewrite.h"
 #include "support/error.h"
 
 namespace tilus {
@@ -29,6 +34,25 @@ fs::path
 corpusDir()
 {
     return fs::path(__FILE__).parent_path() / "corpus";
+}
+
+/** The generator's bug classes: each has a corpus kernel. */
+const std::vector<std::string> kBugClasses = {"layout", "masking", "sync",
+                                              "dtype", "control"};
+
+/** Is @p name a corpus file name, <bug-class>_<hex seed>.lirk? */
+bool
+isCorpusName(const std::string &name)
+{
+    const size_t sep = name.find('_');
+    const size_t ext = name.size() - std::string(".lirk").size();
+    if (sep == std::string::npos || name.size() < 5 || ext <= sep + 1 ||
+        name.compare(ext, std::string::npos, ".lirk") != 0)
+        return false;
+    const std::string seed = name.substr(sep + 1, ext - sep - 1);
+    return std::count(kBugClasses.begin(), kBugClasses.end(),
+                      name.substr(0, sep)) > 0 &&
+           seed.find_first_not_of("0123456789abcdef") == std::string::npos;
 }
 
 /** A unique directory under /tmp, removed on destruction. */
@@ -147,6 +171,77 @@ TEST(Fuzz, PlantedBugIsFoundAndMinimized)
     EXPECT_EQ(fuzz::runFuzz(replay).divergences, 1);
 }
 
+/**
+ * The simulator, the micro-op decoder and the serializer know tid,
+ * __workspace and ctaid.* by id, so no program variable may share an
+ * id with one of them. The first 200 programs of CI's seed, compiled
+ * at O0, are checked variable by variable: parameters, block indices,
+ * loop and assigned variables, and every variable an expression reads.
+ */
+TEST(Fuzz, ProgramVariablesNeverShareSpecialIds)
+{
+    std::map<int, const ir::ExprNode *> special;
+    for (const ir::Var &v : {lir::tidVar(), lir::workspaceVar(),
+                             lir::blockIdxVar(0), lir::blockIdxVar(1),
+                             lir::blockIdxVar(2)})
+        special[v.id()] = v.node().get();
+
+    int compiled = 0;
+    uint64_t seed = fuzz::FuzzConfig().seed;
+    for (int i = 0; i < 200; ++i, seed = fuzz::nextSeed(seed)) {
+        fuzz::Generated gen = fuzz::generateProgram(seed);
+        if (gen.expect_invalid)
+            continue;
+        compiler::CompileOptions o0;
+        o0.opt_level = compiler::OptLevel::O0;
+        lir::Kernel kernel;
+        try {
+            kernel = compiler::compile(gen.program, o0);
+        } catch (const CompileError &) {
+            continue;
+        }
+        ++compiled;
+        auto check = [&](const ir::Expr &expr) {
+            ir::mapExpr(expr, [&](const ir::Expr &node) -> ir::Expr {
+                if (node->kind() != ir::ExprKind::kVar)
+                    return nullptr;
+                const auto &var = static_cast<const ir::VarNode &>(*node);
+                auto it = special.find(var.id);
+                EXPECT_TRUE(it == special.end() || it->second == node.get())
+                    << "seed 0x" << std::hex << seed << ": variable '"
+                    << var.name << "' has the id of a special variable";
+                return nullptr;
+            });
+        };
+        for (const ir::Var &v : kernel.params)
+            check(v);
+        for (const ir::Var &v : kernel.block_index_vars)
+            check(v);
+        opt::forEachBodyExpr(kernel.body, check);
+        std::function<void(const lir::LBody &)> defs =
+            [&](const lir::LBody &body) {
+                for (const lir::LNode &node : body) {
+                    if (auto *f = std::get_if<lir::LFor>(&node.node)) {
+                        check(f->var);
+                        defs(*f->body);
+                    } else if (auto *a =
+                                   std::get_if<lir::LAssign>(&node.node)) {
+                        check(a->var);
+                    } else if (auto *w =
+                                   std::get_if<lir::LWhile>(&node.node)) {
+                        defs(*w->body);
+                    } else if (auto *b = std::get_if<lir::LIf>(&node.node)) {
+                        defs(*b->then_body);
+                        if (b->else_body)
+                            defs(*b->else_body);
+                    }
+                }
+            };
+        defs(kernel.body);
+    }
+    EXPECT_GE(compiled, 150);
+}
+
 TEST(Fuzz, MinimizerShrinksUnderTrivialPredicate)
 {
     // An always-true predicate turns the minimizer loose: it must reach
@@ -212,28 +307,34 @@ TEST(Fuzz, CorpusRoundTripsAndRejectsDamage)
 }
 
 /**
- * The regression-corpus test: every checked-in kernel re-verifies
- * across all six legs (the O2 twin is recovered by re-running the
- * standard O2 pipeline on the deserialized O0 kernel).
+ * The regression-corpus test: every checked-in kernel is named
+ * <bug-class>_<hex seed>.lirk, reads back through its blob header and
+ * checksum, and re-verifies across all six legs (the O2 twin is
+ * recovered by re-running the standard O2 pipeline on the deserialized
+ * O0 kernel); every generator bug class has a kernel.
  */
 TEST(Fuzz, CheckedInCorpusPassesSixWay)
 {
-    int checked = 0;
+    std::set<std::string> classes;
     opt::OracleConfig oracle;
     oracle.device_bytes = 1 << 20;
     for (const fs::directory_entry &entry :
          fs::directory_iterator(corpusDir())) {
         if (entry.path().extension() != ".lirk")
             continue;
-        SCOPED_TRACE(entry.path().filename().string());
+        const std::string name = entry.path().filename().string();
+        SCOPED_TRACE(name);
+        EXPECT_TRUE(isCorpusName(name)) << "not <bug-class>_<hex seed>.lirk";
+        classes.insert(name.substr(0, name.find('_')));
         lir::Kernel kernel = fuzz::readCorpusKernel(entry.path().string());
         opt::NwayReport report = fuzz::checkCorpusKernel(kernel, oracle);
         EXPECT_TRUE(report.identical)
             << report.failing_leg << ": " << report.detail;
         EXPECT_FALSE(report.crashed);
-        ++checked;
     }
-    EXPECT_GE(checked, 5) << "regression corpus is missing kernels";
+    for (const std::string &bug_class : kBugClasses)
+        EXPECT_TRUE(classes.count(bug_class))
+            << "no corpus kernel of bug class " << bug_class;
 }
 
 TEST(Fuzz, FindingsAreWrittenToCorpusDir)
@@ -245,10 +346,20 @@ TEST(Fuzz, FindingsAreWrittenToCorpusDir)
     config.corpus_out_dir = tmp.path.string();
     fuzz::FuzzReport report = fuzz::runFuzz(config);
     ASSERT_GT(report.divergences, 0);
+    // Written as the checked-in corpus is named, so a finding can be
+    // copied into tests/corpus/ as it is.
+    std::set<std::string> expected;
+    for (const fuzz::Finding &f : report.findings) {
+        std::ostringstream name;
+        name << f.bug_class << "_" << std::hex << f.seed << ".lirk";
+        expected.insert(name.str());
+    }
     int written = 0;
     for (const fs::directory_entry &entry :
          fs::directory_iterator(tmp.path)) {
-        EXPECT_EQ(entry.path().extension(), ".lirk");
+        const std::string name = entry.path().filename().string();
+        EXPECT_TRUE(isCorpusName(name)) << name;
+        EXPECT_TRUE(expected.count(name)) << name << " names no finding";
         EXPECT_NO_THROW(fuzz::readCorpusKernel(entry.path().string()));
         ++written;
     }

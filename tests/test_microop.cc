@@ -59,7 +59,6 @@ expectEnginesIdentical(const ir::Program &program, uint64_t seed,
         << program.name << ": " << report.detail << "\n"
         << report.listing_opt;
     EXPECT_TRUE(report.stats_opt.used_microops) << program.name;
-    EXPECT_EQ(report.stats_opt.microop_fallbacks, 0) << program.name;
     EXPECT_FALSE(report.stats_ref.used_microops) << program.name;
 }
 
@@ -151,7 +150,7 @@ TEST(MicroOpDecode, MatmulKernelsDecodeWithoutFallback)
         lir::Kernel kernel = compiler::compile(
             kernels::buildMatmul(cfg).main_program, {});
         sim::MicroProgram program = sim::compileMicroProgram(kernel);
-        ASSERT_TRUE(program.ok()) << program.fallbackReason();
+        ASSERT_TRUE(program.ok()) << program.failureReason();
         // The swizzled layouts decode into the fast classes; a few
         // residual generic expressions are fine, a majority is not.
         EXPECT_GT(program.numAffineExprs() + program.numTabulatedExprs(),
@@ -177,7 +176,7 @@ TEST(MicroOpDecode, NonAffineAddressTakesGenericPath)
 
     lir::Kernel kernel = compiler::compile(prog, {});
     sim::MicroProgram program = sim::compileMicroProgram(kernel);
-    ASSERT_TRUE(program.ok()) << program.fallbackReason();
+    ASSERT_TRUE(program.ok()) << program.failureReason();
     EXPECT_GT(program.numGenericExprs(), 0) << lir::printKernel(kernel);
 
     opt::OracleConfig config;
@@ -286,7 +285,7 @@ TEST(MicroOpStats, FunctionalRunParity)
 }
 
 // ---------------------------------------------------------------------
-// Whole-kernel fallback and forced-engine behaviour.
+// An undecodable kernel is an error, not a fallback.
 // ---------------------------------------------------------------------
 
 /** A kernel the decoder refuses (break outside any loop) but the tree
@@ -302,28 +301,29 @@ undecodableKernel()
     return kernel;
 }
 
-TEST(MicroOpFallback, UndecodableKernelFallsBackToTreeWalk)
+TEST(MicroOpFallback, UndecodableKernelThrowsUnderDefaultOptions)
 {
     lir::Kernel kernel = undecodableKernel();
     sim::MicroProgram program = sim::compileMicroProgram(kernel);
-    EXPECT_FALSE(program.ok());
-    EXPECT_FALSE(program.fallbackReason().empty());
+    ASSERT_FALSE(program.ok());
+    ASSERT_FALSE(program.failureReason().empty());
 
+    // Default RunOptions run functional launches on micro-ops: the
+    // launch throws, and its message carries the decoder's reason.
     sim::RunOptions options;
     options.enable_print = false;
-    sim::SimStats stats = sim::run(kernel, {}, nullptr, options);
-    EXPECT_FALSE(stats.used_microops);
-    EXPECT_EQ(stats.microop_fallbacks, 1);
-    EXPECT_FALSE(stats.microop_fallback_reason.empty());
-}
+    try {
+        sim::run(kernel, {}, nullptr, options);
+        FAIL() << "an undecodable kernel ran";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find(program.failureReason()),
+                  std::string::npos)
+            << e.what();
+    }
 
-TEST(MicroOpFallback, ForcedMicroOpsOnUndecodableKernelThrows)
-{
-    lir::Kernel kernel = undecodableKernel();
-    sim::RunOptions options;
-    options.enable_print = false;
-    options.engine = sim::Engine::kMicroOps;
-    EXPECT_THROW(sim::run(kernel, {}, nullptr, options), TilusError);
+    // Only an explicit request runs it on the tree walk.
+    options.engine = sim::Engine::kTreeWalk;
+    EXPECT_FALSE(sim::run(kernel, {}, nullptr, options).used_microops);
 }
 
 // ---------------------------------------------------------------------

@@ -206,7 +206,7 @@ TEST_F(TracerTest, EnableResetsVirtualPidsAndBuffers)
     EXPECT_EQ(tracer.virtualProcess("fresh"), 2);
 }
 
-TEST(Metrics, CounterGaugeBasics)
+TEST(Metrics, CounterBasics)
 {
     obs::Registry registry;
     obs::Counter &c = registry.counter("ops_total");
@@ -217,12 +217,6 @@ TEST(Metrics, CounterGaugeBasics)
     EXPECT_EQ(registry.counterValue("absent_total"), 0);
     // Get-or-create returns the same handle.
     EXPECT_EQ(&registry.counter("ops_total"), &c);
-
-    obs::Gauge &g = registry.gauge("depth");
-    g.set(3.5);
-    g.add(1.5);
-    EXPECT_DOUBLE_EQ(g.value(), 5.0);
-    EXPECT_DOUBLE_EQ(registry.gaugeValue("depth"), 5.0);
 }
 
 TEST(Metrics, JsonDumpIsSortedAndStable)
@@ -230,23 +224,16 @@ TEST(Metrics, JsonDumpIsSortedAndStable)
     obs::Registry registry;
     registry.counter("b_total").add(2);
     registry.counter("a_total").add(1);
-    registry.gauge("g").set(1.5);
     EXPECT_EQ(registry.toJson(),
-              "{\"counters\":{\"a_total\":1,\"b_total\":2},"
-              "\"gauges\":{\"g\":1.5}}");
+              "{\"counters\":{\"a_total\":1,\"b_total\":2}}");
 }
 
 TEST(Metrics, PrometheusDumpHasTypedFamilies)
 {
     obs::Registry registry;
     registry.counter("hits_total").add(7);
-    registry.gauge("depth").set(2);
-    const std::string prom = registry.toPrometheus();
-    EXPECT_NE(prom.find("# TYPE tilus_hits_total counter\n"
-                        "tilus_hits_total 7\n"),
-              std::string::npos);
-    EXPECT_NE(prom.find("# TYPE tilus_depth gauge\ntilus_depth 2\n"),
-              std::string::npos);
+    EXPECT_EQ(registry.toPrometheus(),
+              "# TYPE tilus_hits_total counter\ntilus_hits_total 7\n");
 }
 
 TEST(Metrics, ConcurrentCountingLosesNothing)
@@ -283,7 +270,7 @@ TEST(Metrics, KeysAreEscaped)
     obs::Registry registry;
     registry.counter("a\"b\\").add(1);
     EXPECT_EQ(registry.toJson(),
-              "{\"counters\":{\"a\\\"b\\\\\":1},\"gauges\":{}}");
+              "{\"counters\":{\"a\\\"b\\\\\":1}}");
 }
 
 // ----------------------------------------------------------- json writer

@@ -329,7 +329,7 @@ TEST(ProfileDisarmed, RunsAreByteIdenticalWithAndWithoutProfiling)
     opt::runSeeded(kernel, config, plain_a);
     opt::runSeeded(kernel, config, plain_b);
     obs::ProfileCollector collector(kernel);
-    opt::runSeeded(kernel, config, armed, sim::Engine::kAuto,
+    opt::runSeeded(kernel, config, armed, sim::Engine::kMicroOps,
                    &collector);
 
     std::string detail;
